@@ -136,7 +136,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "DistributedDatabase",

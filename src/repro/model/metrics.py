@@ -49,7 +49,7 @@ class MetricsCollector:
         self._bus = bus
         names = [spec.name for spec in config.classes]
         self.waiting = Tally("waiting", keep=True)
-        self.response = Tally("response", keep=True)
+        self.response = Tally("response")
         self.normalized_waiting = Tally("normalized_waiting")
         self.by_class_waiting = [Tally(f"waiting[{n}]") for n in names]
         self.by_class_response = [Tally(f"response[{n}]") for n in names]

@@ -49,8 +49,8 @@ register("SQ2", PowerOfDPolicy)
 register("BNQRD", BNQRDPolicy)
 register("LERT", LERTPolicy)
 
-# LERT-MVA is registered lazily to avoid importing the queueing stack (and
-# its scipy dependency chain) for users who never touch the extension.
+# LERT-MVA is registered lazily so users who never touch the extension
+# never import the queueing stack.
 
 
 def _lert_mva() -> AllocationPolicy:

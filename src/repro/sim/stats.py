@@ -6,6 +6,12 @@ here for every simulation experiment — is the *method of batch means*: the
 post-warmup observations are grouped into ``k`` contiguous batches, the batch
 averages are treated as (approximately) independent samples, and a Student-t
 interval is computed over them.
+
+The Student-t quantiles come from :mod:`repro.sim.t_quantiles`, a table
+recorded once from scipy, so a run imports no third-party code and its
+intervals do not depend on the installed scipy version.  Only a
+confidence level or degrees of freedom outside that table falls back to
+scipy, imported on first use.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from scipy import stats as _scipy_stats
-
 from repro.sim.errors import MonitorError
+from repro.sim.t_quantiles import T_QUANTILES
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,29 @@ class IntervalEstimate:
     def __str__(self) -> str:
         pct = int(round(self.confidence * 100))
         return f"{self.mean:.4g} ± {self.half_width:.3g} ({pct}% CI, k={self.batches})"
+
+
+def student_t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t quantile ``t.ppf(0.5 + confidence / 2, df)``.
+
+    Served from the recorded table for confidence 0.90/0.95/0.99 and
+    df 1-200; anything else is computed by scipy (the optional ``stats``
+    extra), imported only then.
+
+    Raises:
+        MonitorError: Outside the table when scipy is not installed.
+    """
+    row = T_QUANTILES.get(confidence)
+    if row is not None and 1 <= df <= len(row):
+        return row[df - 1]
+    try:
+        from scipy import stats as scipy_stats
+    except ImportError as error:
+        raise MonitorError(
+            f"Student-t quantile for confidence={confidence}, df={df} is outside "
+            "the recorded table; install scipy (pip install 'repro[stats]')"
+        ) from error
+    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
 
 
 def batch_means(
@@ -84,10 +112,8 @@ def batch_means(
         chunk = observations[b * batch_size : (b + 1) * batch_size]
         means.append(math.fsum(chunk) / batch_size)
     grand = math.fsum(means) / batches
-    if batches == 1:
-        return IntervalEstimate(grand, math.inf, confidence, batches)
     var = math.fsum((m - grand) ** 2 for m in means) / (batches - 1)
-    t = _scipy_stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1)
+    t = student_t_quantile(confidence, batches - 1)
     half = t * math.sqrt(var / batches)
     return IntervalEstimate(grand, half, confidence, batches)
 
@@ -103,7 +129,7 @@ def mean_and_ci(
     if n == 1:
         return IntervalEstimate(mean, math.inf, confidence, 1)
     var = math.fsum((s - mean) ** 2 for s in samples) / (n - 1)
-    t = _scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
+    t = student_t_quantile(confidence, n - 1)
     half = t * math.sqrt(var / n)
     return IntervalEstimate(mean, half, confidence, n)
 
@@ -119,4 +145,10 @@ def relative_change(new: float, base: float) -> float:
     return (base - new) / base
 
 
-__all__ = ["IntervalEstimate", "batch_means", "mean_and_ci", "relative_change"]
+__all__ = [
+    "IntervalEstimate",
+    "batch_means",
+    "mean_and_ci",
+    "relative_change",
+    "student_t_quantile",
+]

@@ -1,11 +1,19 @@
 """Unit tests for output analysis (batch means and intervals)."""
 
 import math
+import sys
 
 import pytest
 
 from repro.sim.errors import MonitorError
-from repro.sim.stats import IntervalEstimate, batch_means, mean_and_ci, relative_change
+from repro.sim.stats import (
+    IntervalEstimate,
+    batch_means,
+    mean_and_ci,
+    relative_change,
+    student_t_quantile,
+)
+from repro.sim.t_quantiles import T_QUANTILES
 
 
 class TestBatchMeans:
@@ -66,6 +74,42 @@ class TestMeanAndCI:
     def test_empty_raises(self):
         with pytest.raises(MonitorError):
             mean_and_ci([])
+
+
+class TestStudentTQuantile:
+    def test_contract_entry_is_bit_exact(self):
+        # Every golden digest's batch-means interval (k=20) rests on this.
+        assert student_t_quantile(0.95, 19) == 2.0930240544083087
+        assert T_QUANTILES[0.95][18] == 2.0930240544083087
+
+    def test_table_shape(self):
+        assert sorted(T_QUANTILES) == [0.9, 0.95, 0.99]
+        for row in T_QUANTILES.values():
+            assert len(row) == 200
+            assert list(row) == sorted(row, reverse=True)
+
+    def test_table_matches_scipy_within_4_ulps(self):
+        stats = pytest.importorskip("scipy.stats")
+        for confidence, row in T_QUANTILES.items():
+            for df, recorded in enumerate(row, start=1):
+                exact = float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+                assert abs(recorded - exact) <= 4 * math.ulp(exact), (confidence, df)
+
+    def test_outside_table_falls_back_to_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        samples = [float(i % 7) for i in range(257)]  # df = 256 > 200
+        estimate = mean_and_ci(samples)
+        n = len(samples)
+        mean = math.fsum(samples) / n
+        var = math.fsum((s - mean) ** 2 for s in samples) / (n - 1)
+        t = float(stats.t.ppf(0.975, df=256))
+        assert estimate.half_width == t * math.sqrt(var / n)
+        assert student_t_quantile(0.8, 5) == float(stats.t.ppf(0.9, df=5))
+
+    def test_outside_table_without_scipy_raises(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(MonitorError, match="outside the recorded table"):
+            student_t_quantile(0.95, 256)
 
 
 class TestIntervalEstimate:
