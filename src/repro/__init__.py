@@ -108,7 +108,7 @@ from repro.model.serialization import (
 )
 from repro.model.system import DistributedDatabase
 from repro.model.view import SystemView
-from repro.policies.base import AllocationPolicy, LegacyPolicyAdapter
+from repro.policies.base import AllocationPolicy
 from repro.policies.registry import available_policies, make_policy
 from repro.runner import RunReport, RunSpec, execute, run
 from repro.telemetry import (
@@ -136,7 +136,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DistributedDatabase",
@@ -149,7 +149,6 @@ __all__ = [
     "paper_classes",
     "paper_defaults",
     "AllocationPolicy",
-    "LegacyPolicyAdapter",
     "SystemView",
     "make_policy",
     "available_policies",

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from repro.model.config import paper_defaults
 from repro.model.serialization import load_fault_plan, load_workload_spec
+from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
 from repro.telemetry.session import TelemetryConfig
 
@@ -123,17 +124,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if wants_telemetry
         else None
     )
-    spec = RunSpec(
-        warmup=args.warmup,
-        duration=args.duration,
-        seed=args.seed,
-        telemetry=telemetry,
-        faults=None if args.faults is None else load_fault_plan(args.faults),
-        workload=(
-            None if args.workload is None else load_workload_spec(args.workload)
-        ),
-    )
-    report = run(paper_defaults(), args.policy, spec)
+    # Bad user input (unknown policy, invalid run window, unreadable or
+    # malformed plan file) is a usage error, not a traceback.
+    try:
+        spec = RunSpec(
+            warmup=args.warmup,
+            duration=args.duration,
+            seed=args.seed,
+            telemetry=telemetry,
+            faults=None if args.faults is None else load_fault_plan(args.faults),
+            workload=(
+                None if args.workload is None else load_workload_spec(args.workload)
+            ),
+        )
+        policy = make_policy(args.policy)
+    except KeyError as exc:
+        parser.error(exc.args[0])
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    report = run(paper_defaults(), policy, spec)
 
     if args.events is not None:
         report.write_events(args.events)

@@ -26,7 +26,6 @@ numbers.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -361,69 +360,6 @@ def format_subnet_scaling(result: SubnetScalingResult) -> str:
     return table.render()
 
 
-# ----------------------------------------------------------------------
-# Deprecated CLI entry points (use the experiment registry)
-# ----------------------------------------------------------------------
-
-
-def _main_shim(name: str, sweep, formatter, settings, jobs, cache) -> str:
-    """Shared body of the deprecated ``main_*`` entry points."""
-    warnings.warn(
-        f"ablations.main_{name}() is deprecated; use repro.experiments."
-        f"registry.get_experiment('ablation-{name}').run(settings, context) "
-        "(see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    context = StudyContext(jobs=jobs, cache=cache)
-    output = formatter(sweep(settings, context=context))
-    print(output)
-    return output
-
-
-def main_stale(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead."""
-    return _main_shim(
-        "stale", stale_info_sweep, format_stale_info, settings, jobs, cache
-    )
-
-
-def main_disk(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead."""
-    return _main_shim(
-        "disk", disk_organization_study, format_disk_organization,
-        settings, jobs, cache,
-    )
-
-
-def main_updates(
-    settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None
-) -> str:
-    """Deprecated shim — go through the experiment registry instead."""
-    return _main_shim(
-        "updates", update_fraction_sweep, format_update_fraction,
-        settings, jobs, cache,
-    )
-
-
-def main_heterogeneous(
-    settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None
-) -> str:
-    """Deprecated shim — go through the experiment registry instead."""
-    return _main_shim(
-        "heterogeneous", heterogeneity_study, format_heterogeneity,
-        settings, jobs, cache,
-    )
-
-
-def main_subnet(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead."""
-    return _main_shim(
-        "subnet", subnet_scaling_study, format_subnet_scaling,
-        settings, jobs, cache,
-    )
-
-
 __all__ = [
     "StaleInfoResult",
     "stale_info_sweep",
@@ -440,9 +376,4 @@ __all__ = [
     "SubnetScalingResult",
     "subnet_scaling_study",
     "format_subnet_scaling",
-    "main_subnet",
-    "main_stale",
-    "main_disk",
-    "main_updates",
-    "main_heterogeneous",
 ]

@@ -16,7 +16,6 @@ faultless one because the plan is folded into the cache key.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -172,27 +171,6 @@ def format_table(result: FailureResult) -> str:
             str(cell.lost),
         )
     return waiting.render() + "\n\n" + detail.render()
-
-
-def main(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("failure").run(settings, context)
-
-    Kept for callers of the pre-registry per-table spelling; the AST pin
-    in tests/experiments/test_registry.py keeps src/repro itself clean.
-    """
-    warnings.warn(
-        "failure.main() is deprecated; use "
-        "repro.experiments.registry.get_experiment('failure')"
-        ".run(settings, context) (see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    context = StudyContext(jobs=jobs, cache=cache)
-    output = format_table(run_experiment(settings, context=context))
-    print(output)
-    return output
 
 
 if __name__ == "__main__":

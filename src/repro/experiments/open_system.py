@@ -22,7 +22,6 @@ closed one because the workload spec is folded into the cache key.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -224,27 +223,6 @@ def format_table(result: OpenSystemResult) -> str:
             f"{cell.shed_fraction:.1%}",
         )
     return response.render() + "\n\n" + detail.render()
-
-
-def main(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("open_system").run(settings, context)
-
-    Kept for callers of the pre-registry per-table spelling; the AST pin
-    in tests/experiments/test_registry.py keeps src/repro itself clean.
-    """
-    warnings.warn(
-        "open_system.main() is deprecated; use "
-        "repro.experiments.registry.get_experiment('open_system')"
-        ".run(settings, context) (see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    context = StudyContext(jobs=jobs, cache=cache)
-    output = format_table(run_experiment(settings, context=context))
-    print(output)
-    return output
 
 
 if __name__ == "__main__":

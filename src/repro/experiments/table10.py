@@ -14,7 +14,6 @@ response curve (running maximum), which preserves monotonicity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -98,27 +97,6 @@ def format_table(result: Table10Result) -> str:
             str(paper[1]),
         )
     return table.render()
-
-
-def main(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("table10").run(settings, context)
-
-    Kept for callers of the pre-registry per-table spelling; the AST pin
-    in tests/experiments/test_registry.py keeps src/repro itself clean.
-    """
-    warnings.warn(
-        "table10.main() is deprecated; use "
-        "repro.experiments.registry.get_experiment('table10')"
-        ".run(settings, context) (see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    context = StudyContext(jobs=jobs, cache=cache)
-    output = format_table(run_experiment(settings, context=context))
-    print(output)
-    return output
 
 
 if __name__ == "__main__":

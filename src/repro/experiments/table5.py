@@ -8,7 +8,6 @@ over the minimal-QD ("balance the number of queries") allocation.
 
 from __future__ import annotations
 
-import warnings
 
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -53,23 +52,6 @@ def format_table(result: Table5Result) -> str:
         table.add_row(label, "repro", *[f"{v:.2f}" for v in result.measured_row(pair)])
         table.add_row("", "paper", *[f"{v:.2f}" for v in result.paper_row(pair)])
     return table.render()
-
-
-def main() -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("table5").run(settings, context)
-    """
-    warnings.warn(
-        "table5.main() is deprecated; use repro.experiments.registry."
-        "get_experiment('table5').run(settings, context) "
-        "(see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    output = format_table(run_experiment())
-    print(output)
-    return output
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ allocation.
 
 from __future__ import annotations
 
-import warnings
 
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -63,23 +62,6 @@ def format_table(result: Table6Result) -> str:
         )
         table.add_row("", "paper", *[f"{v:.2f}" for v in result.paper_row(pair)], "")
     return table.render()
-
-
-def main() -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("table6").run(settings, context)
-    """
-    warnings.warn(
-        "table6.main() is deprecated; use repro.experiments.registry."
-        "get_experiment('table6').run(settings, context) "
-        "(see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    output = format_table(run_experiment())
-    print(output)
-    return output
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ think-time range 150–450 and reports, per think time:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -126,27 +125,6 @@ def format_table(result: Table8Result) -> str:
                 "", "paper", *[f"{v:.2f}" for v in paper]
             )
     return table.render()
-
-
-def main(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("table8").run(settings, context)
-
-    Kept for callers of the pre-registry per-table spelling; the AST pin
-    in tests/experiments/test_registry.py keeps src/repro itself clean.
-    """
-    warnings.warn(
-        "table8.main() is deprecated; use "
-        "repro.experiments.registry.get_experiment('table8')"
-        ".run(settings, context) (see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    context = StudyContext(jobs=jobs, cache=cache)
-    output = format_table(run_experiment(settings, context=context))
-    print(output)
-    return output
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ invalidate the reproduction, so this is both a demo and a health check
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -164,28 +163,6 @@ def format_table(result: ValidationResult) -> str:
     return table.render()
 
 
-def main(settings: RunSettings = STANDARD, *, jobs: int = 1, cache=None) -> str:
-    """Deprecated shim — go through the experiment registry instead::
-
-        get_experiment("validation").run(settings, context)
-    """
-    # jobs/cache were always accepted for CLI uniformity but unused: this
-    # experiment cross-validates the queueing substrates (network-level
-    # simulation and MVA solvers), which are cheap and not keyed like
-    # DB-system runs.
-    del jobs, cache
-    warnings.warn(
-        "validation.main() is deprecated; use repro.experiments.registry."
-        "get_experiment('validation').run(settings, context) "
-        "(see docs/ablation.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    output = format_table(run_experiment(settings))
-    print(output)
-    return output
-
-
 __all__ = [
     "ValidationCase",
     "ValidationRow",
@@ -193,5 +170,4 @@ __all__ = [
     "standard_cases",
     "run_experiment",
     "format_table",
-    "main",
 ]

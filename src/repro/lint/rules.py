@@ -515,8 +515,8 @@ class PrintInCore(Rule):
     code = "RL009"
     name = "no-print-in-core"
     summary = (
-        "no print() in sim/model/policies/queueing; return results or use "
-        "the trace hook"
+        "no print() in sim/model/policies/queueing; return results or "
+        "subscribe to TraceMessage on Simulator.bus"
     )
     scope = CORE_SIM_SCOPE
 
@@ -526,9 +526,9 @@ class PrintInCore(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    "print() in core simulation code; return data or use "
-                    "the sim trace hook (output belongs in "
-                    "repro.experiments)",
+                    "print() in core simulation code; return data or "
+                    "subscribe to TraceMessage on Simulator.bus (output "
+                    "belongs in repro.experiments)",
                 )
 
 
@@ -641,11 +641,10 @@ class EventListEncapsulation(Rule):
 
     The kernel's replay guarantee rests on a single total order —
     ``(time, priority, seq)`` with lazy deletion — whose invariants live
-    entirely in ``repro.sim.events`` (:class:`EventQueue`,
-    :class:`CalendarQueue`, and the :class:`MinHeap` helper resources
-    use).  A stray ``import heapq`` or a reach into the queues' private
-    structures (``_heap``, ``_buckets``, ``_keys``, ``_free``) creates a
-    second place where ordering or liveness can drift — exactly the kind
+    entirely in ``repro.sim.events`` (:class:`EventQueue` and the
+    :class:`MinHeap` helper resources use).  A stray ``import heapq`` or
+    a reach into private queue structures (``_heap``, ``_buckets``,
+    ``_keys``, ``_free``) creates a second place where ordering or liveness can drift — exactly the kind
     of silent divergence the golden-trace suite exists to catch, except
     at a call site the suite may not cover.  Everything else goes through
     the queue's public API (``push``/``rent``/``cancel``/``pop_due``).
@@ -656,7 +655,7 @@ class EventListEncapsulation(Rule):
     summary = (
         "no heapq import or event-queue private-structure access "
         "(_heap/_buckets/_keys/_free) outside repro.sim.events; use the "
-        "EventQueue/CalendarQueue/MinHeap public API"
+        "EventQueue/MinHeap public API"
     )
     scope = ("repro",)
 
@@ -677,8 +676,8 @@ class EventListEncapsulation(Rule):
                             node,
                             "import of heapq outside repro.sim.events; the "
                             "future-event list's ordering invariants have "
-                            "one home — use EventQueue/CalendarQueue/"
-                            "MinHeap from repro.sim.events",
+                            "one home — use EventQueue/MinHeap from "
+                            "repro.sim.events",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "heapq" or (
@@ -688,7 +687,7 @@ class EventListEncapsulation(Rule):
                         ctx,
                         node,
                         "import from heapq outside repro.sim.events; use "
-                        "the EventQueue/CalendarQueue/MinHeap public API",
+                        "the EventQueue/MinHeap public API",
                     )
             elif (
                 isinstance(node, ast.Attribute)

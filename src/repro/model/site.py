@@ -12,7 +12,7 @@ Each site owns:
   - ``shared``: a single queue feeds all disks (M/G/c style).
 
 The terminals and the outgoing message buffer live elsewhere (terminals in
-:mod:`repro.model.terminals`, the per-site buffer inside the ring), so this
+:mod:`repro.workloads.closed`, the per-site buffer inside the ring), so this
 class is purely the service-center bundle plus its statistics.
 """
 

@@ -83,9 +83,6 @@ class DistributedDatabase:
             instead.  Workloads bind at construction — the arrival
             processes start at time 0 — so there is no
             ``install_workload`` analogue of :meth:`install_faults`.
-        queue: Future-event-list implementation for the engine
-            (``"heap"`` or ``"calendar"``); both replay byte-identically,
-            see :func:`repro.sim.events.make_event_queue`.
     """
 
     def __init__(
@@ -95,11 +92,10 @@ class DistributedDatabase:
         seed: int = 0,
         faults: Optional["FaultPlan"] = None,
         workload: Optional[WorkloadSpec] = None,
-        queue: str = "heap",
     ) -> None:
         self.config = config
         self.policy = policy
-        self.sim = Simulator(seed=seed, queue=queue)
+        self.sim = Simulator(seed=seed)
         #: The active fault injector, or ``None`` for faultless runs.
         self.fault_injector: Optional["FaultInjector"] = None
         self.sites: List[DBSite] = [

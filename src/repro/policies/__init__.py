@@ -10,11 +10,7 @@
 Use :func:`make_policy` to construct policies by name.
 """
 
-from repro.policies.base import (
-    AllocationPolicy,
-    CostBasedPolicy,
-    LegacyPolicyAdapter,
-)
+from repro.policies.base import AllocationPolicy, CostBasedPolicy
 from repro.policies.bnq import BNQPolicy
 from repro.policies.bnqrd import BNQRDPolicy
 from repro.policies.lert import LERTPolicy
@@ -26,7 +22,6 @@ from repro.policies.threshold import PowerOfDPolicy, ThresholdPolicy
 __all__ = [
     "AllocationPolicy",
     "CostBasedPolicy",
-    "LegacyPolicyAdapter",
     "LocalPolicy",
     "RandomPolicy",
     "BNQPolicy",

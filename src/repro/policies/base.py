@@ -1,17 +1,13 @@
 """Allocation-policy interface and the paper's site-selection loop.
 
-The public entry point (PR 4's API redesign) is::
+The public entry point is::
 
     site = policy.select(query, view)
 
 where *view* is a :class:`~repro.model.view.SystemView` — the one object
 bundling everything a decision may look at: the arrival site, the
 candidate (and *available*) sites, the load information, the optimizer's
-transfer-time estimates, and named random streams.  The old
-``select_site(query, arrival_site)`` spelling keeps working through a
-deprecation shim (and old-style policy objects can be wrapped in
-:class:`LegacyPolicyAdapter`), but no internal caller uses it any more —
-an AST test pins that.
+transfer-time estimates, and named random streams.
 
 Figure 3 of the paper gives the selection procedure every cost-based policy
 shares::
@@ -39,8 +35,7 @@ query's optimizer estimates; they never see realized service demands.
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.model.loadboard import LoadView
 from repro.model.query import Query
@@ -53,10 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class AllocationPolicy:
     """Chooses the execution site for each newly arrived query.
 
-    Subclasses implement :meth:`select`.  Policies written against the
-    pre-1.1 interface (overriding :meth:`select_site`) keep working: the
-    base :meth:`select` bridges to the override with a
-    ``DeprecationWarning``.
+    Subclasses implement :meth:`select`.
     """
 
     #: Registry/display name; subclasses override.
@@ -87,98 +79,16 @@ class AllocationPolicy:
             raise RuntimeError(f"policy {self.name!r} is not bound to a system")
         return self.system.load_view
 
-    # ------------------------------------------------------------------
-    # The public entry point
-    # ------------------------------------------------------------------
     def select(self, query: Query, view: SystemView) -> int:
         """Return the site index that should execute *query*.
 
         *view* is the single window onto the system: candidates (already
         filtered to available sites), load information, estimates, RNG.
-
-        The base implementation exists only to bridge legacy subclasses
-        that override :meth:`select_site`; real policies override this.
         """
-        if type(self).select_site is not AllocationPolicy.select_site:
-            # Pre-1.1 subclass: drive its select_site through the view.
-            warnings.warn(
-                f"policy {self.name!r} overrides the deprecated "
-                "select_site(query, arrival_site); override "
-                "select(query, view) instead (see docs/faults.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._view = view
-            return self.select_site(query, view.arrival_site)
-        raise NotImplementedError(
-            f"policy {self.name!r} implements neither select() nor select_site()"
-        )
-
-    # ------------------------------------------------------------------
-    # Deprecated entry point
-    # ------------------------------------------------------------------
-    def select_site(self, query: Query, arrival_site: int) -> int:
-        """Return the execution site for *query* (deprecated spelling).
-
-        .. deprecated:: 1.1
-            Use :meth:`select` with a :class:`~repro.model.view.SystemView`.
-            This shim builds a view over the bound system and delegates.
-        """
-        warnings.warn(
-            "AllocationPolicy.select_site(query, arrival_site) is "
-            "deprecated; call select(query, view) with a SystemView "
-            "instead (see docs/faults.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        view = SystemView(
-            self.system,
-            arrival_site,
-            injector=getattr(self.system, "fault_injector", None),
-        )
-        return self.select(query, view)
+        raise NotImplementedError(f"policy {self.name!r} does not implement select()")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<policy {self.name}>"
-
-
-class LegacyPolicyAdapter(AllocationPolicy):
-    """Wraps a pre-1.1 policy object behind the ``select(query, view)`` API.
-
-    Use this to run an old-style policy (anything exposing
-    ``select_site(query, arrival_site)`` and optionally ``bind(system)``)
-    through the redesigned runner without modifying it::
-
-        system = DistributedDatabase(config, LegacyPolicyAdapter(old), seed=7)
-
-    Wrapping emits a single ``DeprecationWarning`` at construction; the
-    per-decision path is warning-free.
-    """
-
-    def __init__(self, legacy: object) -> None:
-        super().__init__()
-        if not callable(getattr(legacy, "select_site", None)):
-            raise TypeError(
-                f"{legacy!r} has no callable select_site(query, arrival_site)"
-            )
-        warnings.warn(
-            f"wrapping legacy policy {getattr(legacy, 'name', type(legacy).__name__)!r}; "
-            "migrate it to select(query, view) (see docs/faults.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._legacy = legacy
-        self.name = getattr(legacy, "name", type(legacy).__name__)
-
-    def bind(self, system: "DistributedDatabase") -> None:
-        super().bind(system)
-        bind = getattr(self._legacy, "bind", None)
-        if callable(bind):
-            bind(system)
-
-    def select(self, query: Query, view: SystemView) -> int:
-        self._view = view
-        return self._legacy.select_site(query, view.arrival_site)  # type: ignore[attr-defined]
 
 
 class CostBasedPolicy(AllocationPolicy):
@@ -197,54 +107,8 @@ class CostBasedPolicy(AllocationPolicy):
         """Estimated cost of executing *query* at *site* (lower is better)."""
         raise NotImplementedError
 
-    def candidate_sites(self, query: Query) -> Sequence[int]:
-        """Sites eligible to run *query* (unfiltered by availability).
-
-        Retained for compatibility and introspection; the selection loop
-        itself asks the view, which additionally removes down sites.
-        """
-        return self.system.candidate_sites(query)
-
     def select(self, query: Query, view: SystemView) -> int:
-        if type(self).select_site is not CostBasedPolicy.select_site:
-            # Pre-1.1 subclass that wraps select_site (the old way of
-            # stashing per-decision state): drive it through the view.
-            # Its super().select_site() call lands on the concrete
-            # deprecated implementation below, so the chain terminates.
-            warnings.warn(
-                f"policy {self.name!r} overrides the deprecated "
-                "select_site(query, arrival_site); override "
-                "select(query, view) instead (see docs/faults.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._view = view
-            return self.select_site(query, view.arrival_site)
         self._view = view
-        return self._select_from(query, view)
-
-    def select_site(self, query: Query, arrival_site: int) -> int:
-        """Figure 3's loop under the old signature (deprecated spelling).
-
-        .. deprecated:: 1.1
-            Use :meth:`select` with a :class:`~repro.model.view.SystemView`.
-        """
-        warnings.warn(
-            "CostBasedPolicy.select_site(query, arrival_site) is "
-            "deprecated; call select(query, view) with a SystemView "
-            "instead (see docs/faults.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        view = SystemView(
-            self.system,
-            arrival_site,
-            injector=getattr(self.system, "fault_injector", None),
-        )
-        self._view = view
-        return self._select_from(query, view)
-
-    def _select_from(self, query: Query, view: SystemView) -> int:
         candidates = view.candidates(query)
         if not candidates:
             raise RuntimeError(f"no candidate sites for query {query.qid}")
@@ -275,4 +139,4 @@ class CostBasedPolicy(AllocationPolicy):
         return best_site
 
 
-__all__ = ["AllocationPolicy", "CostBasedPolicy", "LegacyPolicyAdapter"]
+__all__ = ["AllocationPolicy", "CostBasedPolicy"]

@@ -15,8 +15,8 @@ reversibly:
   wrapped in a recording proxy, so each draw logs
   ``(stream name, method, value)``.  ``spawn``-ed child families are
   covered automatically (the patch is on the class).
-* ``pop``/``pop_due`` on both future-event-list implementations —
-  every event the engine fires logs ``(time, priority, seq, label)``.
+* ``pop``/``pop_due`` on the future-event list — every event the engine
+  fires logs ``(time, priority, seq, label)``.
   :meth:`Simulator._drive` binds ``queue.pop_due`` at entry, so the
   patch must be active *before* ``run()`` — entering the context
   manager before building the system satisfies this.
@@ -25,8 +25,7 @@ Each record is folded into a running BLAKE2b digest, so comparing two
 multi-million-event traces is O(1) memory beyond the bounded record
 buffer kept for diagnostics.
 
-Run the built-in scenario (faults + telemetry enabled, both queue
-implementations) with::
+Run the built-in scenario (faults + telemetry enabled) with::
 
     python -m repro.sanitize --smoke
 """
@@ -45,7 +44,7 @@ from contextlib import contextmanager
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import paper_defaults
 from repro.runner import RunReport, RunSpec, run
-from repro.sim.events import CalendarQueue, Event, EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams
 from repro.telemetry.session import TelemetryConfig
 
@@ -178,14 +177,10 @@ def capture_trace() -> Iterator[DeterminismTrace]:
         (RandomStreams, "stream", RandomStreams.stream),
         (EventQueue, "pop", EventQueue.pop),
         (EventQueue, "pop_due", EventQueue.pop_due),
-        (CalendarQueue, "pop", CalendarQueue.pop),
-        (CalendarQueue, "pop_due", CalendarQueue.pop_due),
     ]
     setattr(RandomStreams, "stream", recording_stream)
     setattr(EventQueue, "pop", wrap_pop(EventQueue.pop))
     setattr(EventQueue, "pop_due", wrap_pop(EventQueue.pop_due))
-    setattr(CalendarQueue, "pop", wrap_pop(CalendarQueue.pop))
-    setattr(CalendarQueue, "pop_due", wrap_pop(CalendarQueue.pop_due))
     try:
         yield trace
     finally:

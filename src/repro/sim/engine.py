@@ -30,16 +30,10 @@ replays recorded runs byte-identically.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import ProcessError, SchedulingError
-from repro.sim.events import (
-    DEFAULT_PRIORITY,
-    Event,
-    make_event_queue,
-    validate_delay,
-)
+from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue, validate_delay
 from repro.sim.rng import RandomStreams
 from repro.telemetry.bus import EventBus
 from repro.telemetry.events import TraceMessage
@@ -62,18 +56,6 @@ class Simulator:
 
     Args:
         seed: Master seed for the run's random streams.
-        queue: Future-event-list implementation — ``"heap"`` (default,
-            a lazy-deletion binary heap) or ``"calendar"`` (a calendar
-            queue for dense horizons).  Both produce byte-identical
-            runs; see :func:`~repro.sim.events.make_event_queue`.
-
-    .. deprecated:: 1.1
-        The ``trace`` constructor argument (a bare ``(time, text)``
-        callable) is deprecated in favor of subscribing to
-        :class:`~repro.telemetry.events.TraceMessage` on :attr:`bus`.
-        Passing it still works — a compat shim renders ``TraceMessage``
-        events back into ``(time, text)`` calls — but emits a
-        :class:`DeprecationWarning`.
     """
 
     __slots__ = (
@@ -88,17 +70,12 @@ class Simulator:
         "current_process",
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: Optional[Callable[[float, str], None]] = None,
-        queue: str = "heap",
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.seed = seed
         self.rng = RandomStreams(seed)
         self.bus = EventBus()
-        self._queue = make_event_queue(queue)
+        self._queue = EventQueue()
         self._running = False
         self._process_count = 0
         self._event_count = 0
@@ -108,18 +85,6 @@ class Simulator:
         #: learn "who am I" inside a ``yield from`` chain (the fault layer
         #: uses it to register the executing process at a site).
         self.current_process: Optional[Any] = None
-        if trace is not None:
-            warnings.warn(
-                "Simulator(trace=...) is deprecated; subscribe to "
-                "repro.telemetry.events.TraceMessage on Simulator.bus "
-                "instead (see docs/telemetry.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.bus.subscribe(
-                TraceMessage,
-                lambda event: trace(event.time, event.label),  # type: ignore[attr-defined]
-            )
 
     # ------------------------------------------------------------------
     # Event scheduling

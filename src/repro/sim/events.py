@@ -5,26 +5,20 @@ The kernel is event-driven at its core: every state change happens inside an
 (:mod:`repro.sim.process`) is layered on top by turning each generator resume
 into an event.
 
-Two future-event-list implementations share one contract — a total order by
-``(time, priority, seq)`` with lazy deletion:
-
-* :class:`EventQueue` (default): a binary heap of ``(time, priority, seq,
-  event)`` *tuples*, so every sift comparison runs at C speed instead of
-  calling :meth:`Event.__lt__`, plus a free-list that recycles the
-  :class:`Event` objects of kernel-internal resume events (see
-  :meth:`EventQueue.rent`).
-* :class:`CalendarQueue` (optional, for dense horizons): a two-level
-  calendar — per-bucket heaps keyed by ``floor(time / bucket_width)`` with
-  a lazily deduplicated heap of bucket keys — that pops in exactly the
-  same global order.
+The future-event list, :class:`EventQueue`, keeps a total order by
+``(time, priority, seq)`` with lazy deletion.  It is a binary heap of
+``(time, priority, seq, event)`` *tuples*, so every sift comparison runs at
+C speed instead of calling :meth:`Event.__lt__`, plus a free-list that
+recycles the :class:`Event` objects of kernel-internal resume events (see
+:meth:`EventQueue.rent`).
 
 The monotonically increasing sequence number guarantees deterministic FIFO
 ordering among events scheduled for the same instant, which in turn makes
 whole simulation runs exactly reproducible for a given random seed.  The
-golden-trace suite (``tests/golden/``) pins this: every implementation must
-replay recorded runs byte-identically.
+golden-trace suite (``tests/golden/``) pins this: the kernel must replay
+recorded runs byte-identically.
 
-The queues' internal structures are deliberately private: reprolint rule
+The queue's internal structure is deliberately private: reprolint rule
 RL012 forbids ``heapq`` (and ``_heap`` access) everywhere else in
 ``repro``, so the ordering/lazy-deletion invariants have exactly one home.
 """
@@ -32,17 +26,7 @@ RL012 forbids ``heapq`` (and ``_heap`` access) everywhere else in
 from __future__ import annotations
 
 import heapq
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 from repro.sim.errors import SchedulingError
 
@@ -304,174 +288,9 @@ class EventQueue:
         self._live = 0
 
 
-class CalendarQueue:
-    """A calendar future-event list for dense event horizons.
-
-    Events land in buckets keyed by ``floor(time / bucket_width)``; each
-    bucket is itself a small heap of the same ``(time, priority, seq,
-    event)`` entries as :class:`EventQueue`, and a lazily deduplicated
-    heap of bucket keys finds the active bucket.  Because every event in
-    bucket *k* fires before every event in bucket *k + 1*, popping the
-    minimum of the minimal non-empty bucket yields exactly the global
-    ``(time, priority, seq)`` order — the golden suite holds this
-    implementation to byte-identical replays of heap-kernel recordings.
-
-    Compared to one big heap, sift depth is bounded by the (small) bucket
-    population instead of the total event count, which wins when many
-    events share a narrow time window (open-system arrival storms).
-    Select it with ``Simulator(queue="calendar")``.
-    """
-
-    __slots__ = ("_width", "_buckets", "_keys", "_seq", "_live", "_free")
-
-    def __init__(self, bucket_width: float = 1.0) -> None:
-        if not bucket_width > 0:
-            raise SchedulingError(
-                f"bucket_width must be > 0, got {bucket_width!r}"
-            )
-        self._width = bucket_width
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._keys: List[int] = []
-        self._seq = 0
-        self._live = 0
-        self._free: List[Event] = []
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def _insert(self, entry: _Entry) -> None:
-        key = int(entry[0] / self._width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            # The key enters the key-heap exactly when its bucket is
-            # created and leaves when the bucket is deleted, so the
-            # key-heap never holds duplicates.
-            self._buckets[key] = [entry]
-            heapq.heappush(self._keys, key)
-        else:
-            heapq.heappush(bucket, entry)
-
-    def push(self, event: Event) -> Event:
-        """Insert *event* and stamp its FIFO sequence number."""
-        seq = self._seq
-        self._seq = seq + 1
-        event.seq = seq
-        self._insert((event.time, event.priority, seq, event))
-        self._live += 1
-        return event
-
-    def rent(
-        self, time: float, callback: Callable[[], None], label: Optional[str]
-    ) -> Event:
-        """Insert a recyclable event (see :meth:`EventQueue.rent`)."""
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.callback = callback
-            event.label = label
-            event.fired = False
-            event._cancelled = False
-        else:
-            event = Event(time, callback, label=label)
-            event.recyclable = True
-        seq = self._seq
-        self._seq = seq + 1
-        event.seq = seq
-        self._insert((time, DEFAULT_PRIORITY, seq, event))
-        self._live += 1
-        return event
-
-    def recycle(self, event: Event) -> None:
-        """Return a recyclable event to the free-list (engine-internal)."""
-        event.callback = _discarded_callback
-        self._free.append(event)
-
-    def cancel(self, event: Event) -> None:
-        """Retract *event* (lazy deletion; same contract as EventQueue)."""
-        if event._cancelled or event.fired:
-            return
-        event._cancelled = True
-        self._live -= 1
-
-    def _active_bucket(self) -> Optional[List[_Entry]]:
-        """The bucket holding the globally next live entry (pruned)."""
-        keys = self._keys
-        buckets = self._buckets
-        while keys:
-            bucket = buckets[keys[0]]
-            while bucket:
-                event = bucket[0][3]
-                if not event._cancelled:
-                    return bucket
-                heapq.heappop(bucket)
-                if event.recyclable:
-                    self.recycle(event)
-            del buckets[keys[0]]
-            heapq.heappop(keys)
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event, or ``None`` if empty."""
-        bucket = self._active_bucket()
-        if bucket is None:
-            return None
-        return bucket[0][0]
-
-    def pop(self) -> Event:
-        """Remove and return the next live event (raises when empty)."""
-        event = self.pop_due(_INFINITY)
-        if event is None:
-            raise SchedulingError("event queue is empty")
-        return event
-
-    def pop_due(self, until: float) -> Optional[Event]:
-        """Pop the next live event with ``time <= until``, else ``None``."""
-        bucket = self._active_bucket()
-        if bucket is None:
-            return None
-        entry = bucket[0]
-        if entry[0] > until:
-            return None
-        heapq.heappop(bucket)
-        event = entry[3]
-        event.fired = True
-        self._live -= 1
-        return event
-
-    def clear(self) -> None:
-        """Discard every pending event."""
-        self._buckets.clear()
-        self._keys.clear()
-        self._live = 0
-
-
-#: The event-queue implementations selectable on the engine.
-EVENT_QUEUE_KINDS: Tuple[str, ...] = ("heap", "calendar")
-
-#: Either future-event-list implementation (they share one contract).
-FutureEventList = Union["EventQueue", "CalendarQueue"]
-
-
-def make_event_queue(kind: str) -> FutureEventList:
-    """Build the future-event list selected by *kind* ("heap"/"calendar")."""
-    if kind == "heap":
-        return EventQueue()
-    if kind == "calendar":
-        return CalendarQueue()
-    raise SchedulingError(
-        f"unknown event queue kind {kind!r}; expected one of {EVENT_QUEUE_KINDS}"
-    )
-
-
 class _SupportsLessThan(Protocol):
     def __lt__(self, other: Any) -> bool: ...  # pragma: no cover - protocol
 
-
-_Item = TypeVar("_Item", bound=_SupportsLessThan)
 
 
 class MinHeap:
@@ -530,12 +349,8 @@ def validate_delay(now: float, delay: float, what: str = "delay") -> float:
 
 __all__ = [
     "DEFAULT_PRIORITY",
-    "EVENT_QUEUE_KINDS",
-    "CalendarQueue",
     "Event",
     "EventQueue",
-    "FutureEventList",
     "MinHeap",
-    "make_event_queue",
     "validate_delay",
 ]

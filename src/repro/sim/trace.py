@@ -1,110 +1,23 @@
-"""Structured event tracing: typed-bus adapters for debugging runs.
+"""Per-query tracing: a typed-bus adapter for debugging runs.
 
-Both consumers in this module are thin adapters over the telemetry event
-bus (:mod:`repro.telemetry.bus`):
-
-* :class:`TraceRecorder` — bounded in-memory buffer of ``(time, text)``
-  trace lines with filtering and rendering.  Attach it to an engine with
-  :meth:`TraceRecorder.attach` (it subscribes to
-  :class:`~repro.telemetry.events.TraceMessage`); the deprecated
-  ``Simulator(trace=recorder)`` spelling still works because the engine's
-  compat shim renders ``TraceMessage`` events back into calls of the
-  recorder.
-* :class:`QueryTracer` — per-query life-cycle records built from
-  :class:`~repro.telemetry.events.QueryCompleted` events, which carry
-  every timestamp the record needs; useful when a policy misbehaves and
-  you need to see *which* decisions went wrong.
+:class:`QueryTracer` builds per-query life-cycle records from
+:class:`~repro.telemetry.events.QueryCompleted` events on the telemetry
+event bus (:mod:`repro.telemetry.bus`), which carry every timestamp the
+record needs; useful when a policy misbehaves and you need to see
+*which* decisions went wrong.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Iterable, List, Optional
 
 from repro.telemetry.bus import EventBus, Subscription
-from repro.telemetry.events import QueryCompleted, TelemetryEvent, TraceMessage
+from repro.telemetry.events import QueryCompleted, TelemetryEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.system import DistributedDatabase
-    from repro.sim.engine import Simulator
-
-
-class TraceRecorder:
-    """Bounded recorder for engine trace lines.
-
-    Args:
-        capacity: Maximum retained lines (oldest dropped first).
-        filter_substring: When given, only lines containing it are kept.
-    """
-
-    def __init__(self, capacity: int = 10_000, filter_substring: Optional[str] = None) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.filter_substring = filter_substring
-        self._lines: Deque[Tuple[float, str]] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.seen = 0
-        self._subscription: Optional[Subscription] = None
-        self._bus: Optional[EventBus] = None
-
-    # ------------------------------------------------------------------
-    # Bus integration
-    # ------------------------------------------------------------------
-    def attach(self, sim: "Simulator") -> None:
-        """Subscribe to the engine's ``TraceMessage`` stream."""
-        if self._subscription is not None:
-            raise ValueError("TraceRecorder is already attached")
-        self._subscription = sim.bus.subscribe(TraceMessage, self._on_trace)
-        self._bus = sim.bus
-
-    def detach(self) -> None:
-        """Stop recording (idempotent); retained lines stay available."""
-        if self._subscription is not None and self._bus is not None:
-            self._bus.unsubscribe(self._subscription)
-            self._subscription = None
-            self._bus = None
-
-    def _on_trace(self, event: TelemetryEvent) -> None:
-        assert isinstance(event, TraceMessage)
-        self(event.time, event.label)
-
-    def __call__(self, time: float, text: str) -> None:
-        """Record one trace line (also the legacy ``trace=`` hook shape)."""
-        self.seen += 1
-        if self.filter_substring is not None and self.filter_substring not in text:
-            return
-        if len(self._lines) == self.capacity:
-            self.dropped += 1
-        self._lines.append((time, text))
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    @property
-    def lines(self) -> List[Tuple[float, str]]:
-        return list(self._lines)
-
-    def matching(self, substring: str) -> List[Tuple[float, str]]:
-        """Retained lines containing *substring*."""
-        return [(t, s) for t, s in self._lines if substring in s]
-
-    def between(self, start: float, end: float) -> List[Tuple[float, str]]:
-        """Retained lines with ``start <= time <= end``."""
-        return [(t, s) for t, s in self._lines if start <= t <= end]
-
-    def render(self, limit: Optional[int] = None) -> str:
-        """Human-readable dump (most recent *limit* lines)."""
-        lines = self.lines
-        if limit is not None:
-            lines = lines[-limit:]
-        return "\n".join(f"{t:12.4f}  {s}" for t, s in lines)
-
-    def clear(self) -> None:
-        self._lines.clear()
-        self.dropped = 0
-        self.seen = 0
 
 
 @dataclass(frozen=True)
@@ -220,4 +133,4 @@ class QueryTracer:
         return sum(r.waiting for r in records) / len(records)
 
 
-__all__ = ["TraceRecorder", "QueryRecord", "QueryTracer"]
+__all__ = ["QueryRecord", "QueryTracer"]

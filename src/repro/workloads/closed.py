@@ -7,13 +7,11 @@ and thinks again.  The closed-loop structure means system load
 self-regulates with response time, exactly as in the paper's closed
 queueing model.
 
-This module is the one owner of the terminal processes; the old
-``repro.model.terminals`` location survives as a deprecation shim that
-re-exports from here.  Stream names (``think.s{site}.t{terminal}``),
-process launch names and launch order are unchanged from the seed, so a
-closed run is byte-identical whether it was requested via the default,
-an explicit :class:`~repro.workloads.arrivals.ClosedTerminals`, or the
-pre-redesign wiring.
+This module is the one owner of the terminal processes.  Stream names
+(``think.s{site}.t{terminal}``), process launch names and launch order
+are unchanged from the seed, so a closed run is byte-identical whether it
+was requested via the default or an explicit
+:class:`~repro.workloads.arrivals.ClosedTerminals`.
 """
 
 from __future__ import annotations

@@ -1,14 +1,5 @@
-"""The experiment registry: one front door, plus the deprecation pins.
+"""The experiment registry: the one front door to every experiment."""
 
-Includes the AST pin required by the PR: no internal caller may use the
-deprecated per-module ``main()`` / ``main_*()`` spellings — the only
-mentions allowed in ``src/repro`` are the shims themselves (the same
-discipline ``tests/workloads/test_terminals_shim.py`` applies to
-``start_terminals``).
-"""
-
-import ast
-import pathlib
 import warnings
 
 import pytest
@@ -18,32 +9,6 @@ from repro.experiments.registry import (
     all_experiments,
     experiment_names,
     get_experiment,
-)
-
-SRC_REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Modules whose ``main()`` is a deprecated shim.
-SHIM_MODULES = frozenset(
-    {
-        "table5",
-        "table6",
-        "table8",
-        "table9",
-        "table10",
-        "table11",
-        "table12",
-        "msg_sensitivity",
-        "failure",
-        "open_system",
-        "validation",
-    }
-)
-
-#: The deprecated ablation entry points (unique names, so any mention
-#: outside their defining module is an offense).
-ABLATION_SHIMS = frozenset(
-    {"main_stale", "main_disk", "main_updates", "main_heterogeneous",
-     "main_subnet"}
 )
 
 
@@ -88,91 +53,8 @@ class TestRegistry:
         assert "Table 5" in output
 
 
-class TestDeprecatedShims:
-    def test_table_main_warns_and_still_works(self, capsys):
-        from repro.experiments import table5
-
-        with pytest.warns(DeprecationWarning, match="registry"):
-            output = table5.main()
-        assert "Table 5" in output
-        assert "Table 5" in capsys.readouterr().out
-
+class TestEntryPoint:
     def test_registry_path_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             get_experiment("table6").run()
-
-
-def _module_name(path: pathlib.Path) -> str:
-    return path.stem
-
-
-def _called_name(node: ast.Call):
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-class TestNoInternalLegacyCallers:
-    """AST scan: the deprecated entry points are dead inside ``src/repro``."""
-
-    def test_no_experiment_main_calls_outside_shims(self):
-        """No ``<experiment module>.main(...)`` attribute calls anywhere in
-        src/repro (bare ``main()`` recursion inside unrelated CLIs like
-        ``cli.py`` or ``sanitize.py`` is their own, non-deprecated main)."""
-        offenders = []
-        for path in sorted(SRC_REPRO.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "main"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in SHIM_MODULES
-                ):
-                    offenders.append(f"{path}:{node.lineno}")
-        assert offenders == [], (
-            "internal callers still use a deprecated <module>.main():\n"
-            + "\n".join(offenders)
-        )
-
-    def test_no_main_imports_from_experiment_modules(self):
-        offenders = []
-        for path in sorted(SRC_REPRO.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.ImportFrom)
-                    and node.module
-                    and node.module.rpartition(".")[2] in SHIM_MODULES
-                    and any(alias.name == "main" for alias in node.names)
-                ):
-                    offenders.append(f"{path}:{node.lineno}")
-        assert offenders == []
-
-    def test_no_ablation_main_callers_outside_ablations(self):
-        offenders = []
-        for path in sorted(SRC_REPRO.rglob("*.py")):
-            if path.name == "ablations.py" and path.parent.name == "experiments":
-                continue  # the shims themselves
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and _called_name(node) in ABLATION_SHIMS
-                ):
-                    offenders.append(f"{path}:{node.lineno}")
-                elif isinstance(node, ast.ImportFrom) and any(
-                    alias.name in ABLATION_SHIMS for alias in node.names
-                ):
-                    offenders.append(f"{path}:{node.lineno}")
-        assert offenders == [], (
-            "internal callers still use a deprecated ablations.main_*():\n"
-            + "\n".join(offenders)
-        )

@@ -130,12 +130,8 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def run_case(case: GoldenCase, queue: str = "heap") -> Dict[str, Any]:
-    """Replay one corpus case; returns its digests and full results dict.
-
-    ``queue`` selects the kernel's future-event-list implementation; every
-    implementation must reproduce the same recorded bytes.
-    """
+def run_case(case: GoldenCase) -> Dict[str, Any]:
+    """Replay one corpus case; returns its digests and full results dict."""
     spec = RunSpec(
         warmup=case.warmup,
         duration=case.duration,
@@ -143,20 +139,7 @@ def run_case(case: GoldenCase, queue: str = "heap") -> Dict[str, Any]:
         telemetry=TelemetryConfig(events=True, sample_interval=100.0),
         faults=golden_fault_plan() if case.faulted else None,
     )
-    if queue == "heap":
-        report = run(golden_config(), case.policy, spec)
-    else:
-        # Exercised post-overhaul: alternative event-queue implementations
-        # must replay the digests recorded from the default heap kernel.
-        from repro.runner import execute
-
-        system = DistributedDatabase(
-            golden_config(),
-            make_policy(case.policy),
-            seed=case.seed,
-            queue=queue,
-        )
-        report = execute(system, spec)
+    report = run(golden_config(), case.policy, spec)
     results = results_to_dict(report.results)
     return {
         "results": results,
@@ -166,11 +149,10 @@ def run_case(case: GoldenCase, queue: str = "heap") -> Dict[str, Any]:
     }
 
 
-def run_trace_case(queue: str = "heap") -> Dict[str, Any]:
+def run_trace_case() -> Dict[str, Any]:
     """Replay the kernel-trace case; returns the trace-stream digest."""
-    kwargs: Dict[str, Any] = {} if queue == "heap" else {"queue": queue}
     system = DistributedDatabase(
-        golden_config(), make_policy(TRACE_POLICY), seed=TRACE_SEED, **kwargs
+        golden_config(), make_policy(TRACE_POLICY), seed=TRACE_SEED
     )
     digest = hashlib.sha256()
     count = 0

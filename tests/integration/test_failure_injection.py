@@ -29,11 +29,11 @@ class ExplodingPolicy(AllocationPolicy):
         self.after = after
         self.decisions = 0
 
-    def select_site(self, query, arrival_site):
+    def select(self, query, view):
         self.decisions += 1
         if self.decisions > self.after:
             raise RuntimeError("policy blew up")
-        return arrival_site
+        return view.arrival_site
 
 
 class TestModelFaults:

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
@@ -76,6 +78,23 @@ class TestMainCli:
         )
         assert proc.returncode != 0
         assert "sample-interval" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--policy", "NOPE"), "unknown policy 'NOPE'"),
+            (("--duration", "-5"), "duration must be finite and > 0"),
+            (("--faults", "/missing/plan.json"), "No such file or directory"),
+        ],
+        ids=["unknown-policy", "negative-duration", "missing-fault-plan"],
+    )
+    def test_bad_input_is_a_usage_error(self, args, message):
+        proc = invoke("--warmup", "10", *args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("python -m repro: error: ")
+        assert message in last
 
     def test_profiler_module_smoke(self):
         proc = subprocess.run(

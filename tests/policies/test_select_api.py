@@ -1,24 +1,11 @@
-"""The redesigned policy API: ``select(query, view)`` everywhere.
-
-Includes the AST pin required by the PR: no internal caller may use the
-deprecated ``select_site(query, arrival_site)`` spelling — the only
-mentions allowed in ``src/repro`` are the bridge/shim machinery in
-``policies/base.py`` itself.
-"""
-
-import ast
-import pathlib
-import warnings
+"""The policy API: ``select(query, view)`` is the one entry point."""
 
 import pytest
 
 from repro.model.query import make_query
 from repro.model.system import DistributedDatabase
-from repro.model.view import SystemView
-from repro.policies.base import AllocationPolicy, LegacyPolicyAdapter
+from repro.policies.base import AllocationPolicy
 from repro.policies.registry import available_policies, make_policy
-
-SRC_REPRO = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def _query(config, home_site=0):
@@ -27,131 +14,17 @@ def _query(config, home_site=0):
     )
 
 
-class TestNoInternalLegacyCallers:
-    """AST scan: the old signature is dead inside ``src/repro``."""
-
-    def test_no_select_site_calls_outside_base(self):
-        offenders = []
-        for path in sorted(SRC_REPRO.rglob("*.py")):
-            if path.name == "base.py" and path.parent.name == "policies":
-                continue  # the bridge/shim itself
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "select_site"
-                ):
-                    offenders.append(f"{path}:{node.lineno}")
-        assert offenders == [], (
-            "internal callers still use the deprecated "
-            "select_site(query, arrival_site):\n" + "\n".join(offenders)
-        )
-
-    def test_no_select_site_overrides_outside_base(self):
-        """Built-in policies define select(), never select_site()."""
-        offenders = []
-        for path in sorted((SRC_REPRO / "policies").rglob("*.py")):
-            if path.name == "base.py":
-                continue
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.FunctionDef)
-                    and node.name == "select_site"
-                ):
-                    offenders.append(f"{path}:{node.lineno}")
-        assert offenders == []
-
+class TestPolicyApi:
     def test_every_registered_policy_overrides_select(self):
         for name in available_policies():
             policy = make_policy(name)
             assert type(policy).select is not AllocationPolicy.select, name
-            # and none of them rides the legacy bridge: any select_site
-            # they expose is one of base.py's deprecated shims, never an
-            # override of their own.
-            from repro.policies.base import CostBasedPolicy
-
-            assert type(policy).select_site in (
-                AllocationPolicy.select_site,
-                CostBasedPolicy.select_site,
-            ), name
-
-
-class TestDeprecatedShim:
-    def test_select_site_warns_and_agrees_with_select(self, tiny_config):
-        system = DistributedDatabase(tiny_config, make_policy("BNQ"), seed=5)
-        policy = system.policy
-        query = _query(tiny_config)
-        fresh = policy.select(query, system.view_for(0))
-        with pytest.warns(DeprecationWarning, match="select_site"):
-            legacy = policy.select_site(query, arrival_site=0)
-        assert legacy == fresh
 
     def test_base_select_without_override_raises(self, tiny_config):
         policy = AllocationPolicy()
         system = DistributedDatabase(tiny_config, make_policy("LOCAL"), seed=5)
         with pytest.raises(NotImplementedError):
             policy.select(_query(tiny_config), system.view_for(0))
-
-    def test_legacy_subclass_bridges_with_warning(self, tiny_config):
-        class OldSchool(AllocationPolicy):
-            name = "old-school"
-
-            def select_site(self, query, arrival_site):  # pre-1.1 shape
-                return arrival_site
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            system = DistributedDatabase(tiny_config, OldSchool(), seed=5)
-        view = system.view_for(2)
-        with pytest.warns(DeprecationWarning, match="overrides the deprecated"):
-            chosen = system.policy.select(_query(tiny_config, home_site=2), view)
-        assert chosen == 2
-
-
-class TestLegacyPolicyAdapter:
-    def test_wraps_duck_typed_legacy_object(self, tiny_config):
-        class Ancient:
-            name = "ancient"
-
-            def __init__(self):
-                self.bound = None
-
-            def bind(self, system):
-                self.bound = system
-
-            def select_site(self, query, arrival_site):
-                return (arrival_site + 1) % 3
-
-        legacy = Ancient()
-        with pytest.warns(DeprecationWarning, match="wrapping legacy"):
-            adapter = LegacyPolicyAdapter(legacy)
-        assert adapter.name == "ancient"
-        system = DistributedDatabase(tiny_config, adapter, seed=5)
-        assert legacy.bound is system
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # per-decision path: warning-free
-            chosen = adapter.select(_query(tiny_config), system.view_for(1))
-        assert chosen == 2
-
-    def test_rejects_objects_without_select_site(self):
-        with pytest.raises(TypeError, match="select_site"):
-            LegacyPolicyAdapter(object())
-
-    def test_adapter_runs_end_to_end(self, tiny_config):
-        class Ancient:
-            name = "ancient-local"
-
-            def select_site(self, query, arrival_site):
-                return arrival_site
-
-        with pytest.warns(DeprecationWarning):
-            adapter = LegacyPolicyAdapter(Ancient())
-        system = DistributedDatabase(tiny_config, adapter, seed=5)
-        results = system.run(warmup=20.0, duration=150.0)
-        assert results.completions > 0
-        assert results.remote_fraction == 0.0  # it really behaves like LOCAL
 
 
 class TestViewDrivenSelection:

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.errors import ProcessError, SchedulingError
 from repro.sim.process import Hold
+from repro.telemetry.events import TraceMessage
 
 
 class TestScheduling:
@@ -160,7 +161,10 @@ class TestLaunch:
 
     def test_trace_hook_receives_labels(self):
         lines = []
-        sim = Simulator(trace=lambda t, text: lines.append((t, text)))
+        sim = Simulator()
+        sim.bus.subscribe(
+            TraceMessage, lambda event: lines.append((event.time, event.label))
+        )
         sim.schedule(1.0, lambda: None, label="hello")
         sim.run()
         assert (1.0, "hello") in lines

@@ -46,28 +46,6 @@ def test_kernel_trace_stream_byte_identical(manifest):
     assert outcome["trace_sha256"] == manifest["trace"]["trace_sha256"]
 
 
-class TestCalendarQueueMode:
-    """The optional calendar queue must replay heap-recorded digests.
-
-    Cross-implementation byte-identity is the strongest statement of the
-    future-event-list contract: identical ``(time, priority, seq)``
-    ordering, identical lazy-deletion semantics.
-    """
-
-    def test_faulted_case_matches_heap_recording(self, manifest):
-        case = corpus.CASES[3]  # random_faulted_seed5: exercises cancels
-        assert case.faulted
-        recorded = manifest["cases"][case.name]
-        outcome = corpus.run_case(case, queue="calendar")
-        assert outcome["results_sha256"] == recorded["results_sha256"]
-        assert outcome["events_sha256"] == recorded["events_sha256"]
-        assert outcome["timeline_sha256"] == recorded["timeline_sha256"]
-
-    def test_trace_stream_matches_heap_recording(self, manifest):
-        outcome = corpus.run_trace_case(queue="calendar")
-        assert outcome["trace_sha256"] == manifest["trace"]["trace_sha256"]
-
-
 class TestJobsEquivalence:
     def test_serial_batch_matches_recording(self, manifest):
         assert corpus.run_jobs_batch(jobs=1) == manifest["jobs"]["results_sha256"]

@@ -1,9 +1,8 @@
-"""Property-based tests: every future-event list vs a naive reference.
+"""Property-based tests: the future-event list vs a naive reference.
 
 Hypothesis drives randomized operation sequences against
-:class:`~repro.sim.events.EventQueue` and
-:class:`~repro.sim.events.CalendarQueue` (several bucket widths) and
-checks them against an obviously-correct sorted-list model.  The pinned
+:class:`~repro.sim.events.EventQueue` and checks them against an
+obviously-correct sorted-list model.  The pinned
 contract:
 
 * total order by ``(time, priority, insertion order)``;
@@ -23,19 +22,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.sim.errors import SchedulingError  # noqa: E402
-from repro.sim.events import (  # noqa: E402
-    CalendarQueue,
-    Event,
-    EventQueue,
-    make_event_queue,
-)
+from repro.sim.events import Event, EventQueue  # noqa: E402
 
-QUEUE_FACTORIES = [
-    pytest.param(EventQueue, id="heap"),
-    pytest.param(lambda: CalendarQueue(bucket_width=1.0), id="calendar-1.0"),
-    pytest.param(lambda: CalendarQueue(bucket_width=0.75), id="calendar-0.75"),
-    pytest.param(lambda: CalendarQueue(bucket_width=16.0), id="calendar-16"),
-]
+QUEUE_FACTORIES = [pytest.param(EventQueue, id="heap")]
 
 #: Mostly grid times (maximal tie pressure) with some continuous spice.
 times = st.one_of(
@@ -167,12 +156,12 @@ def test_fifo_among_simultaneous(factory, count, time):
     assert drained == list(range(count))
 
 
-@pytest.mark.parametrize("kind", ["heap", "calendar"])
+@pytest.mark.parametrize("factory", QUEUE_FACTORIES)
 @given(items=st.lists(times, min_size=1, max_size=30))
 @settings(max_examples=40, deadline=None)
-def test_rent_orders_like_push_and_reuses_objects(kind, items):
+def test_rent_orders_like_push_and_reuses_objects(factory, items):
     """Rented events drain in (time, insertion) order; recycling reuses."""
-    queue = make_event_queue(kind)
+    queue = factory()
     for tag, time in enumerate(items):
         queue.rent(time, lambda: None, str(tag))
     model = sorted(range(len(items)), key=lambda tag: (items[tag], tag))

@@ -8,8 +8,8 @@ skipping real ones), which perf work can otherwise introduce silently.
 
 The ``perf``-marked smoke test asserts a deliberately conservative
 events/sec floor (the overhauled kernel clears it by an order of
-magnitude even on loaded CI runners); the real trajectory lives in
-``benchmarks/perf/BENCH_6.json``.
+magnitude even on loaded CI runners); end-to-end timing is measured by
+the in-session A/B of ``benchmarks/suite`` (``run.py`` and ``ab.py``).
 """
 
 import time
@@ -157,8 +157,7 @@ class TestThroughputFloor:
     The floor is ~10x below what the overhauled kernel sustains on a
     developer machine, so it only trips on genuine order-of-magnitude
     regressions (e.g. an accidental O(n) scan per pop), never on CI
-    noise.  Trajectory-grade comparison happens in the ``perf`` CI job
-    against ``benchmarks/perf/BENCH_6.json``.
+    noise.  Same-session timing comparison is ``benchmarks/suite/ab.py``.
     """
 
     FLOOR_EVENTS_PER_SEC = 25_000.0

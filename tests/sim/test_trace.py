@@ -5,52 +5,7 @@ import pytest
 from repro.model.config import paper_defaults
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
-from repro.sim.engine import Simulator
-from repro.sim.trace import QueryTracer, TraceRecorder
-
-
-class TestTraceRecorder:
-    def test_records_labelled_events(self):
-        recorder = TraceRecorder()
-        sim = Simulator(trace=recorder)
-        sim.schedule(1.0, lambda: None, label="first")
-        sim.schedule(2.0, lambda: None, label="second")
-        sim.run()
-        assert len(recorder) == 2
-        assert recorder.lines[0] == (1.0, "first")
-
-    def test_capacity_drops_oldest(self):
-        recorder = TraceRecorder(capacity=2)
-        for i in range(5):
-            recorder(float(i), f"line{i}")
-        assert len(recorder) == 2
-        assert recorder.lines == [(3.0, "line3"), (4.0, "line4")]
-        assert recorder.dropped == 3
-        assert recorder.seen == 5
-
-    def test_substring_filter(self):
-        recorder = TraceRecorder(filter_substring="disk")
-        recorder(1.0, "disk:done")
-        recorder(2.0, "cpu:done")
-        assert len(recorder) == 1
-
-    def test_matching_and_between(self):
-        recorder = TraceRecorder()
-        for t, s in ((1.0, "a:x"), (2.0, "b:x"), (3.0, "a:y")):
-            recorder(t, s)
-        assert recorder.matching("a:") == [(1.0, "a:x"), (3.0, "a:y")]
-        assert recorder.between(1.5, 3.0) == [(2.0, "b:x"), (3.0, "a:y")]
-
-    def test_render_and_clear(self):
-        recorder = TraceRecorder()
-        recorder(1.5, "hello")
-        assert "hello" in recorder.render()
-        recorder.clear()
-        assert len(recorder) == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(capacity=0)
+from repro.sim.trace import QueryTracer
 
 
 class TestQueryTracer:
