@@ -9,7 +9,6 @@ the same stale "least-loaded" victim (eventually worse than LOCAL).
 """
 
 from repro.experiments.common import AveragedResults
-from repro.extensions import StaleInfoDatabase
 from repro.model.config import paper_defaults
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -23,7 +22,7 @@ def _run(settings):
     local = DistributedDatabase(config, make_policy("LOCAL"), seed=settings.seed_for(0))
     waits["LOCAL"] = local.run(settings.warmup, settings.duration).mean_waiting_time
     for interval in INTERVALS:
-        system = StaleInfoDatabase(
+        system = DistributedDatabase(
             config,
             make_policy("LERT"),
             seed=settings.seed_for(0),

@@ -23,8 +23,14 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro import DecisionRecord, RunSpec, TelemetryConfig, paper_defaults, run
-from repro.extensions.stale_info import StaleInfoDatabase
+from repro import (
+    DecisionRecord,
+    DistributedDatabase,
+    RunSpec,
+    TelemetryConfig,
+    paper_defaults,
+    run,
+)
 from repro.policies.registry import make_policy
 from repro.telemetry.session import TelemetrySession
 
@@ -57,7 +63,7 @@ def regret_histogram(records: Sequence[DecisionRecord]) -> str:
 
 def audit_stale_run(refresh_interval: float) -> Tuple[object, Sequence[DecisionRecord]]:
     """One stale-information run with a decision audit attached."""
-    system = StaleInfoDatabase(
+    system = DistributedDatabase(
         paper_defaults(),
         make_policy(POLICY),
         seed=SEED,

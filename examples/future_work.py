@@ -1,6 +1,7 @@
 """The paper's future-work directions, running.
 
-Four extensions built on the same model:
+Four extensions built on the same model (the first and third are
+mechanisms of ``DistributedDatabase`` itself, set by keyword parameters):
 
 1. **Stale load information** — the paper assumes free, always-current load
    state; here information refreshes periodically, and the example shows
@@ -19,13 +20,8 @@ Run:  python examples/future_work.py
 """
 
 from repro import DistributedDatabase, make_policy, paper_defaults
-from repro.extensions import (
-    MigratingDatabase,
-    PartialReplicationDatabase,
-    ReplicationMap,
-    StaleInfoDatabase,
-    SubqueryDatabase,
-)
+from repro.extensions import MigratingDatabase, SubqueryDatabase
+from repro.model.replication import ReplicationMap
 
 WARMUP = 1500.0
 DURATION = 6000.0
@@ -42,7 +38,7 @@ def main() -> None:
 
     print("1) Load-information staleness (refresh interval sweep):")
     for interval in (5.0, 25.0, 100.0, 400.0):
-        system = StaleInfoDatabase(
+        system = DistributedDatabase(
             config, make_policy("LERT"), seed=SEED, refresh_interval=interval
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
@@ -66,8 +62,8 @@ def main() -> None:
         replication = ReplicationMap.round_robin_k(
             config.num_sites, num_items=24, copies=copies
         )
-        system = PartialReplicationDatabase(
-            config, make_policy("LERT"), replication, seed=SEED
+        system = DistributedDatabase(
+            config, make_policy("LERT"), seed=SEED, replication=replication
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(

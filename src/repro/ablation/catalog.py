@@ -17,8 +17,9 @@ original knobs), so the committed JSON under ``studies/`` is exactly
   ``heterogeneity`` / ``subnet-scaling`` — the legacy
   :mod:`repro.experiments.ablations` sweeps, re-expressed; the sweep
   functions now expand these specs instead of hand-assembling tasks.
-* ``smoke`` — a seconds-long study (tiny runs; fault and open-workload
-  variants included) for CI's cache-determinism check.
+* ``smoke`` — a seconds-long study (tiny runs; fault, stale-information
+  under faults, and open-workload variants included) for CI's
+  cache-determinism check.
 """
 
 from __future__ import annotations
@@ -305,14 +306,15 @@ SMOKE_SETTINGS = RunSettings(warmup=100.0, duration=400.0, replications=1)
 def smoke_study(settings: RunSettings = SMOKE_SETTINGS) -> StudySpec:
     """A seconds-long study exercising every cell flavor (CI smoke)."""
     config = paper_defaults(num_sites=3, mpl=5)
+    outage = FaultPlan(site_outages=(SiteOutage(site=1, at=200.0, duration=100.0),))
     return StudySpec(
         name="smoke",
         title="CI smoke study",
         description=(
-            "Tiny runs covering the policy, fault, and open-workload "
-            "cell flavors; CI runs it twice through the cache and "
-            "asserts the second pass is all hits with a byte-identical "
-            "report."
+            "Tiny runs covering the policy, fault, stale-information "
+            "under faults, and open-workload cell flavors; CI runs it "
+            "twice through the cache and asserts the second pass is all "
+            "hits with a byte-identical report."
         ),
         metric="response_time",
         config=config,
@@ -328,13 +330,12 @@ def smoke_study(settings: RunSettings = SMOKE_SETTINGS) -> StudySpec:
                 name="faults",
                 description="one mid-run site outage",
                 variants=(
+                    Variant(name="site-outage", faults=outage),
                     Variant(
-                        name="site-outage",
-                        faults=FaultPlan(
-                            site_outages=(
-                                SiteOutage(site=1, at=200.0, duration=100.0),
-                            )
-                        ),
+                        name="stale-outage",
+                        system_kind="stale",
+                        system_kwargs=(("refresh_interval", 50.0),),
+                        faults=outage,
                     ),
                 ),
             ),

@@ -133,8 +133,8 @@ def _variant_cell(
     try:
         tasks = _cell_tasks(spec, variant)
     except ValueError as exc:
-        # ReplicationTask rejects faults/workloads on extension system
-        # kinds; point the error at the offending cell.
+        # ReplicationTask rejects bad system parameters and updates under
+        # a fault plan; point the error at the offending cell.
         raise ValueError(
             f"study {spec.name!r}, component {component.name!r}, "
             f"variant {variant.name!r}: {exc}"

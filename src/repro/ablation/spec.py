@@ -3,8 +3,8 @@
 A :class:`StudySpec` is a baseline run plus components:
 
 * :class:`BaselineRun` — the reference point: a system config, a policy,
-  and (for the extension systems) a system kind with its constructor
-  kwargs.
+  and (for the relaxed-assumption mechanisms) a system kind with its
+  parameters.
 * :class:`Variant` — one alternative setting of a component, expressed
   as a *delta* against the baseline: an optional policy override,
   optional system-kind override, dotted-path config patches (see
@@ -33,7 +33,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.experiments.parallel import SYSTEM_KINDS
+from repro.experiments.parallel import check_system
 from repro.experiments.runconfig import RunSettings
 from repro.experiments.sweep import set_config_parameter
 from repro.faults.plan import FaultPlan
@@ -81,10 +81,10 @@ class BaselineRun:
 
     Attributes:
         policy: Registered allocation policy of the baseline.
-        system_kind: Simulation system class
-            (:data:`~repro.experiments.parallel.SYSTEM_KINDS`).
-        system_kwargs: Extra constructor kwargs of the extension system,
-            as sorted ``(name, value)`` pairs.
+        system_kind: Which mechanisms the system switches on (a key of
+            :data:`~repro.experiments.parallel.SYSTEM_KINDS`).
+        system_kwargs: The kind's mechanism parameters, as sorted
+            ``(name, value)`` pairs.
     """
 
     policy: str
@@ -92,14 +92,10 @@ class BaselineRun:
     system_kwargs: Tuple[Tuple[str, Any], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.system_kind not in SYSTEM_KINDS:
-            raise ValueError(
-                f"unknown system kind {self.system_kind!r}; "
-                f"expected one of {SYSTEM_KINDS}"
-            )
         object.__setattr__(
             self, "system_kwargs", tuple(sorted(_frozen_pairs(self.system_kwargs)))
         )
+        check_system(self.system_kind, self.system_kwargs)
 
 
 @dataclass(frozen=True)
@@ -135,11 +131,6 @@ class Variant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a variant needs a non-empty name")
-        if self.system_kind is not None and self.system_kind not in SYSTEM_KINDS:
-            raise ValueError(
-                f"unknown system kind {self.system_kind!r}; "
-                f"expected one of {SYSTEM_KINDS}"
-            )
         if self.system_kwargs and self.system_kind is None:
             raise ValueError(
                 f"variant {self.name!r} sets system_kwargs without "
@@ -148,6 +139,8 @@ class Variant:
         object.__setattr__(
             self, "system_kwargs", tuple(sorted(_frozen_pairs(self.system_kwargs)))
         )
+        if self.system_kind is not None:
+            check_system(self.system_kind, self.system_kwargs, self.faults)
         object.__setattr__(
             self, "config_patches", _frozen_pairs(self.config_patches)
         )

@@ -95,8 +95,8 @@ def _settings_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PLAN.json",
         help=(
             "install a fault plan (written by repro.save_fault_plan) into "
-            "every simulated run; only the standard system kind supports "
-            "faults, so extension experiments reject this flag"
+            "every simulated run; update queries cannot run under faults, "
+            "so the update-fraction ablation rejects this flag"
         ),
     )
     parser.add_argument(
@@ -106,8 +106,7 @@ def _settings_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "drive every simulated run with a workload spec (written by "
             "repro.save_workload_spec) instead of the paper's closed "
-            "terminals; only the standard system kind supports open "
-            "workloads, so extension experiments reject this flag"
+            "terminals"
         ),
     )
 

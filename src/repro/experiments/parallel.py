@@ -45,8 +45,57 @@ from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
 from repro.workloads.spec import WorkloadSpec, normalize_workload
 
-#: Registered simulation-system kinds (see :func:`system_class`).
-SYSTEM_KINDS = ("standard", "stale", "updates", "heterogeneous")
+#: Placeholder default of a parameter its kind requires.
+_REQUIRED = object()
+
+#: Each simulation-system kind and its mechanism parameters with their
+#: defaults.  A task of kind *k* runs ``DistributedDatabase(...,
+#: **params)`` with the defaults of *k* overridden by ``system_kwargs``.
+SYSTEM_KINDS: Dict[str, Dict[str, Any]] = {
+    "standard": {},
+    "stale": {"refresh_interval": 50.0, "broadcast_cost": 0.0},
+    "updates": {"update_prob": 0.2, "update_pages": 4, "apply_cpu_time": 0.05},
+    "heterogeneous": {"cpu_speed_factors": _REQUIRED},
+}
+
+
+def check_system(
+    kind: str,
+    kwargs: Sequence[Tuple[str, Any]] = (),
+    faults: Optional[FaultPlan] = None,
+) -> None:
+    """Reject a system kind, its parameters or a fault plan up front.
+
+    Raises:
+        ValueError: For an unknown kind, a parameter the kind does not
+            take, a required parameter left out, or a fault plan on the
+            ``"updates"`` kind.
+    """
+    try:
+        defaults = SYSTEM_KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown system kind {kind!r}; expected one of {tuple(SYSTEM_KINDS)}"
+        ) from None
+    names = {name for name, _ in kwargs}
+    unknown = sorted(names - set(defaults))
+    missing = sorted(
+        name for name, value in defaults.items() if value is _REQUIRED and name not in names
+    )
+    if unknown or missing:
+        problem = (
+            f"does not take {', '.join(unknown)}"
+            if unknown
+            else f"requires {', '.join(missing)}"
+        )
+        accepted = ", ".join(defaults) or "no parameters"
+        raise ValueError(f"system kind {kind!r} {problem}; it accepts: {accepted}")
+    if faults is not None and not faults.is_noop and kind == "updates":
+        raise ValueError(
+            "the 'updates' system kind cannot run under a fault plan: a site "
+            "crash flushes an apply task's service request and nothing "
+            "resumes that process"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,25 +146,24 @@ def progress_reporting(callback: ProgressCallback) -> Iterator[None]:
 class ReplicationTask:
     """Picklable description of one simulation run.
 
-    ``system_kind`` selects the system class ("standard" is
-    :class:`~repro.model.system.DistributedDatabase`; the extension kinds
-    map to the classes in :mod:`repro.extensions`), and ``system_kwargs``
-    carries its extra constructor arguments as a sorted tuple of
-    ``(name, value)`` pairs so the task stays hashable and its cache key
-    stays canonical.
+    ``system_kind`` names a row of :data:`SYSTEM_KINDS` (which of
+    :class:`~repro.model.system.DistributedDatabase`'s mechanisms the run
+    switches on), and ``system_kwargs`` overrides that row's defaults as
+    a sorted tuple of ``(name, value)`` pairs so the task stays hashable
+    and its cache key stays canonical.  Both are checked at construction
+    (:func:`check_system`), so a bad parameter fails here, not in a
+    worker.
 
     ``faults`` optionally installs a fault plan for the run.  A no-op
     plan is normalized to ``None`` at construction (same run, same cache
     key), and non-``None`` plans are folded into :meth:`key`, so a
     faulted task can never be answered from a faultless cache entry.
-    Fault plans are only supported on the "standard" system kind (the
-    extension life cycles do not implement degraded mode).
+    Every system kind takes a fault plan except ``"updates"``.
 
     ``workload`` optionally drives the run with an open workload spec.
     The default closed spec is normalized to ``None`` at construction
     (same run, same cache key), and non-``None`` specs are folded into
-    :meth:`key`.  Like fault plans, open workloads are only supported on
-    the "standard" system kind.
+    :meth:`key`.
     """
 
     config: SystemConfig
@@ -129,26 +177,12 @@ class ReplicationTask:
     workload: Optional[WorkloadSpec] = None
 
     def __post_init__(self) -> None:
-        if self.system_kind not in SYSTEM_KINDS:
-            raise ValueError(
-                f"unknown system kind {self.system_kind!r}; "
-                f"expected one of {SYSTEM_KINDS}"
-            )
+        check_system(self.system_kind, self.system_kwargs, self.faults)
         ordered = tuple(sorted(self.system_kwargs))
         object.__setattr__(self, "system_kwargs", ordered)
         if self.faults is not None and self.faults.is_noop:
             object.__setattr__(self, "faults", None)
-        if self.faults is not None and self.system_kind != "standard":
-            raise ValueError(
-                "fault plans require the 'standard' system kind; "
-                f"got {self.system_kind!r}"
-            )
         object.__setattr__(self, "workload", normalize_workload(self.workload))
-        if self.workload is not None and self.system_kind != "standard":
-            raise ValueError(
-                "open workloads require the 'standard' system kind; "
-                f"got {self.system_kind!r}"
-            )
 
     def key(self) -> str:
         """Content address of this task (see :func:`cache_key`)."""
@@ -194,38 +228,6 @@ def replication_tasks(
     ]
 
 
-def system_class(kind: str):
-    """The system class for a task kind (imported lazily per worker)."""
-    if kind == "standard":
-        from repro.model.system import DistributedDatabase
-
-        return DistributedDatabase
-    if kind == "stale":
-        from repro.extensions.stale_info import StaleInfoDatabase
-
-        return StaleInfoDatabase
-    if kind == "updates":
-        from repro.extensions.updates import UpdateWorkloadDatabase
-
-        return UpdateWorkloadDatabase
-    if kind == "heterogeneous":
-        from repro.extensions.heterogeneous import HeterogeneousDatabase
-
-        return HeterogeneousDatabase
-    raise KeyError(f"unknown system kind {kind!r}")
-
-
-def _make_policy(name: str):
-    """Policy lookup, extended with the heterogeneity-aware LERT variant."""
-    if name == "LERT-HET":
-        from repro.extensions.heterogeneous import HeterogeneousLERTPolicy
-
-        return HeterogeneousLERTPolicy()
-    from repro.policies.registry import make_policy
-
-    return make_policy(name)
-
-
 def run_task(task: ReplicationTask) -> SystemResults:
     """Execute one task to completion (the process-pool worker function).
 
@@ -236,19 +238,20 @@ def run_task(task: ReplicationTask) -> SystemResults:
     """
     # Imported lazily so pool workers (and the no-runner import path)
     # never pay for it, and to keep the module import graph acyclic.
+    from repro.model.system import DistributedDatabase
+    from repro.policies.registry import make_policy
     from repro.runner import RunSpec, execute
 
-    cls = system_class(task.system_kind)
-    kwargs = dict(task.system_kwargs)
-    if task.workload is not None:
-        # Workloads bind at construction (arrival processes start at
-        # time 0), unlike fault plans which execute() installs.
-        kwargs["workload"] = task.workload
-    system = cls(
+    params = dict(SYSTEM_KINDS[task.system_kind])
+    params.update(task.system_kwargs)
+    # Workloads bind at construction (arrival processes start at time 0),
+    # unlike fault plans which execute() installs.
+    system = DistributedDatabase(
         task.config,
-        _make_policy(task.policy),
+        make_policy(task.policy),
         seed=task.seed,
-        **kwargs,
+        workload=task.workload,
+        **params,
     )
     spec = RunSpec(
         warmup=task.warmup,
@@ -397,6 +400,7 @@ def simulate_many(
 __all__ = [
     "SYSTEM_KINDS",
     "ProgressCallback",
+    "check_system",
     "ReplicationTask",
     "RunProgress",
     "progress_reporting",
@@ -405,5 +409,4 @@ __all__ = [
     "run_task",
     "run_tasks",
     "simulate_many",
-    "system_class",
 ]

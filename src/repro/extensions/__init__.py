@@ -1,38 +1,19 @@
-"""Extensions: the paper's §6.2 future work plus deferred design questions.
+"""Extensions: the paper's §6.2 future work with life cycles of their own.
 
-* :class:`StaleInfoDatabase` — periodic load-information broadcast instead
-  of the paper's free always-current oracle.
 * :class:`MigratingDatabase` — query migration between read cycles.
-* :class:`PartialReplicationDatabase` / :class:`ReplicationMap` —
-  allocation restricted to sites holding a copy of the query's data.
-* :class:`UpdateWorkloadDatabase` — update transactions with replica
-  propagation (the paper's read-only footnote, made concrete).
-* :class:`HeterogeneousDatabase` / :class:`HeterogeneousLERTPolicy` —
-  unequal CPU speeds across sites and a speed-aware LERT.
 * :class:`SubqueryDatabase` — distributed queries as dynamically
   allocated subquery pipelines with data moves (the paper's §6.2 goal).
+
+The paper's other relaxed assumptions — stale load information, update
+queries, heterogeneous CPU speeds and partial replication — are
+mechanisms of :class:`~repro.model.system.DistributedDatabase` itself,
+set by its keyword-only constructor parameters.
 """
 
-from repro.extensions.heterogeneous import (
-    HeterogeneousDatabase,
-    HeterogeneousLERTPolicy,
-)
 from repro.extensions.migration import MigratingDatabase
-from repro.extensions.partial_replication import (
-    PartialReplicationDatabase,
-    ReplicationMap,
-)
-from repro.extensions.stale_info import StaleInfoDatabase
 from repro.extensions.subqueries import SubqueryDatabase
-from repro.extensions.updates import UpdateWorkloadDatabase
 
 __all__ = [
-    "StaleInfoDatabase",
     "MigratingDatabase",
-    "PartialReplicationDatabase",
-    "ReplicationMap",
     "SubqueryDatabase",
-    "UpdateWorkloadDatabase",
-    "HeterogeneousDatabase",
-    "HeterogeneousLERTPolicy",
 ]

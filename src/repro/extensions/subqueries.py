@@ -29,18 +29,16 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.extensions.partial_replication import (
-    PartialReplicationDatabase,
-    ReplicationMap,
-)
 from repro.model.config import SystemConfig
 from repro.model.query import Query
+from repro.model.replication import ReplicationMap
 from repro.model.ring import Message
+from repro.model.system import DistributedDatabase
 from repro.policies.base import AllocationPolicy, CostBasedPolicy
 from repro.sim.process import WaitFor
 
 
-class SubqueryDatabase(PartialReplicationDatabase):
+class SubqueryDatabase(DistributedDatabase):
     """Distributed queries as dynamically allocated subquery pipelines.
 
     Args:
@@ -74,7 +72,11 @@ class SubqueryDatabase(PartialReplicationDatabase):
         self.distributed_queries = 0
         self.data_moves = 0
         super().__init__(
-            config, policy, replication, seed=seed, item_weights=item_weights
+            config,
+            policy,
+            seed=seed,
+            replication=replication,
+            item_weights=item_weights,
         )
 
     # ------------------------------------------------------------------
@@ -128,7 +130,7 @@ class SubqueryDatabase(PartialReplicationDatabase):
     # ------------------------------------------------------------------
     def execute_query(self, query: Query, query_rng):
         if query_rng.random() >= self.multi_prob:
-            # Single-site query: the inherited partial-replication path.
+            # Single-site query: the plain life cycle over the item's holders.
             yield from super().execute_query(query, query_rng)
             return
 

@@ -3,7 +3,9 @@
 Key entry points:
 
 * :func:`paper_defaults` — Table 7's parameter settings.
-* :class:`DistributedDatabase` — the assembled system; ``run()`` it.
+* :class:`DistributedDatabase` — the assembled system; ``run()`` it.  Its
+  keyword-only mechanisms relax the paper's assumptions (stale load
+  information, update queries, CPU speeds, a :class:`ReplicationMap`).
 * :class:`SystemConfig` and friends — declarative configuration.
 """
 
@@ -22,6 +24,7 @@ from repro.model.balance import BalanceMonitor, BalanceSummary
 from repro.model.loadboard import FrozenLoadView, LoadBoard, LoadView
 from repro.model.metrics import MetricsCollector, SystemResults, summarize
 from repro.model.query import Query, make_query
+from repro.model.replication import ReplicationMap
 from repro.model.serialization import (
     config_from_dict,
     config_to_dict,
@@ -64,6 +67,7 @@ __all__ = [
     "save_config",
     "load_config",
     "make_query",
+    "ReplicationMap",
     "Message",
     "TokenRing",
     "Subnet",

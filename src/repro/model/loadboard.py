@@ -11,8 +11,8 @@ until its results have been delivered back to the home terminal.  This
 matches the information a real implementation could track: allocations are
 announced, completions are announced.
 
-The stale-information extension (:mod:`repro.extensions.stale_info`)
-implements :class:`LoadView` with periodically refreshed copies instead.
+With ``DistributedDatabase(refresh_interval=...)`` the policies see
+periodically refreshed :class:`FrozenLoadView` snapshots instead.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class LoadBoard(LoadView):
         return [self._io[s] + self._cpu[s] for s in range(self.num_sites)]
 
     def snapshot(self) -> "FrozenLoadView":
-        """An immutable copy (used by the stale-information extension)."""
+        """An immutable copy (the periodic load broadcast's snapshot)."""
         return FrozenLoadView(tuple(self._io), tuple(self._cpu))
 
     @property

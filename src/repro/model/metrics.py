@@ -37,7 +37,7 @@ class MetricsCollector:
     With a *bus*, every recorded completion also publishes a
     :class:`~repro.telemetry.events.QueryCompleted` event (guarded emit;
     free when nothing subscribes).  Recording here — rather than in each
-    system class — means every system kind, including the extension
+    system class — means every system, including the extension
     subclasses that override the query life cycle, emits the full
     completion record.
     """

@@ -32,12 +32,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class DBSite:
-    """Service centers of one database processing site."""
+    """Service centers of one database processing site.
 
-    def __init__(self, sim: Simulator, config: SystemConfig, index: int) -> None:
+    Args:
+        sim: The simulator the service centers run on.
+        config: Model parameters.
+        index: The site's position in the system.
+        cpu_speed: CPU speed factor (1.0 = the paper's homogeneous CPU;
+            2.0 serves every CPU burst twice as fast).  Disks are
+            identical at every site.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        config: SystemConfig,
+        index: int,
+        cpu_speed: float = 1.0,
+    ) -> None:
         self.sim = sim
         self.config = config
         self.index = index
+        self.cpu_speed = cpu_speed
         self.cpu = PSServer(sim, name=f"site{index}.cpu")
         spec = config.site
         if config.disk_organization == DISK_SHARED:
@@ -80,7 +96,8 @@ class DBSite:
 
         The paper's execution model: ``actual_reads`` alternating
         disk-read / CPU-burst cycles, drawn from the query's private
-        random stream.  Sets ``query.started_at`` / ``query.finished_at``
+        random stream; each CPU burst is divided by the site's
+        ``cpu_speed``.  Sets ``query.started_at`` / ``query.finished_at``
         and accumulates ``query.service_acquired``; yielded from the
         query life cycle via ``yield from``.
         """
@@ -97,11 +114,12 @@ class DBSite:
                 )
             )
         spec = query.spec
+        speed = self.cpu_speed
         for _ in range(query.actual_reads):
             disk_time = workload.disk_time(rng)
             yield self.disk_service(disk_time, rng)
             query.service_acquired += disk_time
-            cpu_time = rng.expovariate(1.0 / spec.page_cpu_time)
+            cpu_time = rng.expovariate(1.0 / spec.page_cpu_time) / speed
             yield self.cpu_service(cpu_time)
             query.service_acquired += cpu_time
         query.finished_at = sim.now

@@ -25,17 +25,38 @@ aborts the query and re-enters allocation with bounded retry and
 exponential backoff, and subnet transfers consult the plan's message
 faults.  Without a plan the plain path is taken and nothing changes —
 byte-for-byte (a chaos-determinism test pins this).
+
+The paper's simplifying assumptions relax one mechanism at a time, each
+set by keyword-only constructor parameters and each off by default:
+
+* **load information** (``refresh_interval``, ``broadcast_cost``) —
+  policies see a snapshot of the load board refreshed periodically by a
+  ``load-broadcaster`` process instead of the paper's free oracle;
+* **per-site CPU speed** (``cpu_speed_factors``) — each
+  :class:`~repro.model.site.DBSite` divides its CPU bursts by its speed;
+* **update queries** (``update_prob``, ``update_pages``,
+  ``apply_cpu_time``) — a fraction of queries propagate their write set
+  to every other replica, where an apply task consumes disk and CPU;
+* **candidate-site map** (``replication``, ``item_weights``) — each query
+  references one data item and may only run at the sites holding it.
+
+Mechanisms compose with each other, with open workloads and with fault
+plans — except updates under a fault plan, which the constructor rejects
+(a site crash flushes an apply task's service request and nothing
+resumes that process).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional
+import random
+from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
 
 from repro.faults.errors import NoAvailableSiteError, SiteCrashedError
 from repro.model.config import SystemConfig
 from repro.model.loadboard import LoadBoard, LoadView
 from repro.model.metrics import MetricsCollector, SystemResults, summarize
 from repro.model.query import Query
+from repro.model.replication import ReplicationMap, item_cdf
 from repro.model.ring import Message
 from repro.model.subnet import build_subnet
 from repro.model.site import DBSite
@@ -83,6 +104,23 @@ class DistributedDatabase:
             instead.  Workloads bind at construction — the arrival
             processes start at time 0 — so there is no
             ``install_workload`` analogue of :meth:`install_faults`.
+        refresh_interval: Time between load-board snapshots the policies
+            see; ``0`` (the default) is the paper's always-current oracle.
+        broadcast_cost: Channel time per site charged to the subnet at
+            every refresh (``0`` reproduces the paper's "overhead of load
+            status messages is negligible").
+        cpu_speed_factors: One positive CPU speed factor per site;
+            ``None`` (the default) is the paper's homogeneous system.
+        update_prob: Probability that a query is an update; ``None`` (the
+            default) is the paper's read-only workload and draws nothing.
+            Any number, ``0.0`` included, draws one value from each
+            query's stream before allocation.
+        update_pages: Pages written per replica when an update is applied.
+        apply_cpu_time: Mean CPU burst per applied page.
+        replication: Data placement; ``None`` (the default) is the
+            paper's full replication, where every site is a candidate.
+        item_weights: Optional access skew over the replication map's
+            data items (uniform when ``None``).
     """
 
     def __init__(
@@ -92,14 +130,55 @@ class DistributedDatabase:
         seed: int = 0,
         faults: Optional["FaultPlan"] = None,
         workload: Optional[WorkloadSpec] = None,
+        *,
+        refresh_interval: float = 0.0,
+        broadcast_cost: float = 0.0,
+        cpu_speed_factors: Optional[Sequence[float]] = None,
+        update_prob: Optional[float] = None,
+        update_pages: int = 4,
+        apply_cpu_time: float = 0.05,
+        replication: Optional[ReplicationMap] = None,
+        item_weights: Optional[Sequence[float]] = None,
     ) -> None:
+        if refresh_interval < 0:
+            raise ValueError("refresh_interval must be >= 0")
+        if broadcast_cost < 0:
+            raise ValueError("broadcast_cost must be >= 0")
+        speeds = (1.0,) * config.num_sites
+        if cpu_speed_factors is not None:
+            speeds = tuple(float(f) for f in cpu_speed_factors)
+            if len(speeds) != config.num_sites:
+                raise ValueError(
+                    f"{len(speeds)} speed factors for {config.num_sites} sites"
+                )
+            if any(f <= 0 for f in speeds):
+                raise ValueError("speed factors must be > 0")
+        if update_prob is not None and not 0 <= update_prob <= 1:
+            raise ValueError("update_prob must be in [0, 1]")
+        if update_pages < 1:
+            raise ValueError("update_pages must be >= 1")
+        if apply_cpu_time <= 0:
+            raise ValueError("apply_cpu_time must be > 0")
+        self._item_cdf: Optional[Tuple[float, ...]] = None
+        if replication is not None:
+            if replication.num_sites != config.num_sites:
+                raise ValueError(
+                    f"replication map covers {replication.num_sites} sites, "
+                    f"config has {config.num_sites}"
+                )
+            if item_weights is not None:
+                self._item_cdf = item_cdf(item_weights, replication.num_items)
+        elif item_weights is not None:
+            raise ValueError("item_weights need a replication map")
+
         self.config = config
         self.policy = policy
         self.sim = Simulator(seed=seed)
         #: The active fault injector, or ``None`` for faultless runs.
         self.fault_injector: Optional["FaultInjector"] = None
         self.sites: List[DBSite] = [
-            DBSite(self.sim, config, index) for index in range(config.num_sites)
+            DBSite(self.sim, config, index, cpu_speed=speeds[index])
+            for index in range(config.num_sites)
         ]
         # Named "ring" for the paper's default topology; with
         # subnet_kind="mesh" it is a point-to-point network instead.
@@ -109,6 +188,20 @@ class DistributedDatabase:
         self.load_board = LoadBoard(
             config.num_sites, bus=self.sim.bus, clock=self.sim
         )
+        #: The load information policies see: the live board (the
+        #: paper's oracle) or the last broadcast snapshot.
+        self.load_view: LoadView = self.load_board
+        self.refresh_interval = refresh_interval
+        self.broadcast_cost = broadcast_cost
+        self.refreshes = 0
+        self._last_refresh = 0.0
+        self.update_prob = update_prob
+        self.update_pages = update_pages
+        self.apply_cpu_time = apply_cpu_time
+        self.updates_executed = 0
+        self.applies_completed = 0
+        self._applies_started = 0
+        self.replication = replication
         self.workload = WorkloadGenerator(self.sim, config)
         self.metrics = MetricsCollector(config, bus=self.sim.bus)
         #: The normalized workload spec (``None`` = the paper's closed model).
@@ -120,6 +213,11 @@ class DistributedDatabase:
         if faults is not None:
             self.install_faults(faults)
         start_workload(self)
+        # Launched after the workload: process-launch order is part of
+        # the event sequence.
+        if refresh_interval > 0:
+            self.load_view = self.load_board.snapshot()
+            self.sim.launch(self._refresher(), name="load-broadcaster")
 
     # ------------------------------------------------------------------
     # Faults
@@ -135,6 +233,12 @@ class DistributedDatabase:
         """
         if plan is None or plan.is_noop:
             return
+        if self.update_prob is not None:
+            raise ValueError(
+                "update queries cannot run under a fault plan: a site crash "
+                "flushes an apply task's service request and nothing resumes "
+                "that process"
+            )
         if self.fault_injector is not None:
             raise RuntimeError("a fault plan is already installed")
         if self.sim.now != 0.0:
@@ -150,30 +254,113 @@ class DistributedDatabase:
         return SystemView(self, arrival_site, injector=self.fault_injector)
 
     # ------------------------------------------------------------------
-    # Load information (policies read through this indirection so the
-    # stale-information extension can substitute a delayed view).
+    # Load information
     # ------------------------------------------------------------------
-    @property
-    def load_view(self) -> LoadView:
-        return self.load_board
-
     def load_info_age(self) -> float:
         """Age of the load information policies currently see.
 
-        Always ``0.0`` here (the paper's free-oracle assumption: the load
-        board is instantaneously current).  The stale-information
-        extension overrides this with the time since its last snapshot.
+        ``0.0`` for the paper's oracle (``refresh_interval=0``), else the
+        time since the last snapshot.
         """
-        return 0.0
+        if self.load_view is self.load_board:
+            return 0.0
+        return self.sim.now - self._last_refresh
 
+    def _refresher(self):
+        """Periodic snapshot process (plus optional channel charges)."""
+        while True:
+            yield Hold(self.refresh_interval)
+            self.load_view = self.load_board.snapshot()
+            self._last_refresh = self.sim.now
+            self.refreshes += 1
+            if self.broadcast_cost > 0 and self.config.num_sites > 1:
+                for site in range(self.config.num_sites):
+                    self.ring.send(
+                        Message(
+                            source=site,
+                            destination=(site + 1) % self.config.num_sites,
+                            transfer_time=self.broadcast_cost,
+                            deliver=lambda: None,
+                            kind="control",
+                        )
+                    )
+
+    # ------------------------------------------------------------------
+    # Candidate sites
+    # ------------------------------------------------------------------
     def candidate_sites(self, query: Query):
         """Sites eligible to execute *query*.
 
-        Fully replicated database: every site qualifies.  The
-        partial-replication extension overrides this with the set of sites
-        holding a copy of the query's data.
+        Every site under full replication; with a replication map, the
+        holders of the query's data item.
         """
-        return range(self.config.num_sites)
+        if self.replication is None or query.data_item is None:
+            return range(self.config.num_sites)
+        return self.replication.holders(query.data_item)
+
+    def _draw_item(self, query_rng: random.Random) -> int:
+        """A data item from the replication map, by the access weights."""
+        assert self.replication is not None
+        if self._item_cdf is None:
+            return query_rng.randrange(self.replication.num_items)
+        u = query_rng.random()
+        for item, threshold in enumerate(self._item_cdf):
+            if u < threshold:
+                return item
+        return len(self._item_cdf) - 1
+
+    # ------------------------------------------------------------------
+    # Update propagation
+    # ------------------------------------------------------------------
+    @property
+    def pending_applies(self) -> int:
+        """Apply tasks announced but not yet finished."""
+        return self._applies_started - self.applies_completed
+
+    def _propagation_transfer_time(self) -> float:
+        network = self.config.network
+        if network.msg_length is not None:
+            return network.msg_length
+        return self.update_pages * network.page_size * network.msg_time
+
+    def _apply_process(self, site_index: int, update_id: int):
+        """Apply one update's write set at one replica.
+
+        Draws from a replica-local stream: applies are background work
+        outside the common-random-numbers contract.
+        """
+        site = self.sites[site_index]
+        rng = self.sim.rng.stream(f"apply.s{site_index}.u{update_id}")
+        for _ in range(self.update_pages):
+            yield site.disk_service(self.workload.disk_time(rng), rng)
+            cpu_time = rng.expovariate(1.0 / self.apply_cpu_time) / site.cpu_speed
+            yield site.cpu_service(cpu_time)
+        self.applies_completed += 1
+
+    def _propagate(self, query: Query, execution_site: int) -> None:
+        """Send *query*'s write set to every other replica (asynchronously:
+        the updating user's response time has already ended)."""
+        for site_index in range(self.config.num_sites):
+            if site_index == execution_site:
+                continue
+            self._applies_started += 1
+
+            def start_apply(site_index=site_index, update_id=query.qid):
+                self.sim.launch(
+                    self._apply_process(site_index, update_id),
+                    name=f"apply.u{update_id}.s{site_index}",
+                )
+
+            self.ring.send(
+                Message(
+                    source=execution_site,
+                    destination=site_index,
+                    transfer_time=self._propagation_transfer_time(),
+                    deliver=start_apply,
+                    kind="update",
+                    size_bytes=self.update_pages * self.config.network.page_size,
+                )
+            )
 
     # ------------------------------------------------------------------
     # Message-cost model (paper Table 3 / §5.1)
@@ -246,13 +433,22 @@ class DistributedDatabase:
     def execute_query(self, query: Query, query_rng):
         """Drive one query from allocation to results-at-home (a generator).
 
-        Called from the terminal process via ``yield from``.  Dispatches
-        to the degraded life cycle when a fault plan is installed.
+        Called from the terminal process via ``yield from``.  Draws the
+        update coin and the data item first (when those mechanisms are
+        on), then dispatches to the degraded life cycle when a fault plan
+        is installed.
         """
+        update_prob = self.update_prob
+        is_update = update_prob is not None and query_rng.random() < update_prob
+        if self.replication is not None:
+            query.data_item = self._draw_item(query_rng)
         injector = self.fault_injector
         if injector is not None:
             return (yield from self._execute_query_faulted(query, query_rng, injector))
-        return (yield from self._execute_query_plain(query, query_rng))
+        yield from self._execute_query_plain(query, query_rng)
+        if is_update:
+            self.updates_executed += 1
+            self._propagate(query, query.execution_site)
 
     def _execute_query_plain(self, query: Query, query_rng):
         """The paper's Figure-2 life cycle (no faults anywhere)."""

@@ -67,7 +67,7 @@ class SystemView:
     """Everything one allocation decision may look at.
 
     Args:
-        system: The system (or a stub exposing ``config``,
+        system: The system (or a stub exposing ``config``, ``sites``,
             ``candidate_sites``, ``load_view``, ``load_info_age``,
             ``estimated_transfer_time``, ``estimated_return_time`` and
             ``sim`` as needed — attributes are resolved lazily, so test
@@ -107,6 +107,10 @@ class SystemView:
             return True
         return self.injector.is_up(site)
 
+    def cpu_speed(self, site: int) -> float:
+        """CPU speed factor of *site* (1.0 on the paper's homogeneous system)."""
+        return float(self.system.sites[site].cpu_speed)  # type: ignore[attr-defined]
+
     def candidates(self, query: Query) -> List[int]:
         """Sites eligible *and available* to execute *query*, in order.
 
@@ -132,8 +136,9 @@ class SystemView:
     def loads(self) -> LoadView:
         """The load information this decision may consult.
 
-        Without faults this is the system's live view (the paper's
-        oracle, or the stale-information extension's snapshot).  With a
+        Without faults this is the system's load view (the paper's
+        oracle, or the last broadcast snapshot when the system refreshes
+        load information periodically).  With a
         fault injector, entries for down sites are masked to zero, and
         while load broadcasts are dark the *frozen* snapshot from outage
         start is served instead of live counts.

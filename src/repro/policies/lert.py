@@ -31,6 +31,8 @@ class LERTPolicy(CostBasedPolicy):
     """Route to the site with the least estimated response time."""
 
     name = "LERT"
+    #: Whether ``cpu_time`` is divided by the candidate site's CPU speed.
+    speed_aware = False
 
     def site_cost(self, query: Query, site: int) -> float:
         # Figure 6's cost function reads the arrival site (to zero out the
@@ -40,6 +42,8 @@ class LERTPolicy(CostBasedPolicy):
         config = view.config
         site_spec = config.site
         cpu_time = query.estimated_cpu_demand
+        if self.speed_aware:
+            cpu_time /= view.cpu_speed(site)
         io_time = query.estimated_io_demand(site_spec.disk_time)
         if site == view.arrival_site:
             net_time = 0.0
@@ -52,4 +56,18 @@ class LERTPolicy(CostBasedPolicy):
         return cpu_time + cpu_wait + io_time + io_wait + net_time
 
 
-__all__ = ["LERTPolicy"]
+class HeterogeneousLERTPolicy(LERTPolicy):
+    """LERT with per-site CPU speed awareness (``LERT-HET``).
+
+    Figure 6's ``cpu_time`` and ``cpu_wait`` terms are divided by the
+    candidate site's CPU speed factor — the natural generalization when
+    the optimizer's CPU estimates are expressed in baseline-CPU seconds.
+    On a homogeneous system every speed is 1.0 and it decides exactly as
+    LERT does.
+    """
+
+    name = "LERT-HET"
+    speed_aware = True
+
+
+__all__ = ["LERTPolicy", "HeterogeneousLERTPolicy"]

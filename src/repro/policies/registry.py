@@ -12,7 +12,7 @@ from typing import Callable, Dict, List
 from repro.policies.base import AllocationPolicy
 from repro.policies.bnq import BNQPolicy
 from repro.policies.bnqrd import BNQRDPolicy
-from repro.policies.lert import LERTPolicy
+from repro.policies.lert import HeterogeneousLERTPolicy, LERTPolicy
 from repro.policies.local import LocalPolicy
 from repro.policies.random_policy import RandomPolicy
 from repro.policies.threshold import PowerOfDPolicy, ThresholdPolicy
@@ -48,6 +48,7 @@ register("THRESHOLD", ThresholdPolicy)
 register("SQ2", PowerOfDPolicy)
 register("BNQRD", BNQRDPolicy)
 register("LERT", LERTPolicy)
+register("LERT-HET", HeterogeneousLERTPolicy)
 
 # LERT-MVA is registered lazily so users who never touch the extension
 # never import the queueing stack.

@@ -109,7 +109,7 @@ class TestExpansion:
             description=spec.description,
             metric=spec.metric,
             config=spec.config,
-            baseline=spec.baseline,
+            baseline=BaselineRun(policy="LOCAL", system_kind="updates"),
             settings=spec.settings,
             components=(
                 Component(
@@ -117,9 +117,7 @@ class TestExpansion:
                     description="",
                     variants=(
                         Variant(
-                            name="stale-faulted",
-                            system_kind="stale",
-                            system_kwargs=(("refresh_interval", 5.0),),
+                            name="updates-faulted",
                             faults=FaultPlan(
                                 site_outages=(
                                     SiteOutage(site=0, at=60.0, duration=10.0),
@@ -130,7 +128,8 @@ class TestExpansion:
                 ),
             ),
         )
-        with pytest.raises(ValueError, match="stale-faulted"):
+        # Updates are the one mechanism a fault plan cannot run under.
+        with pytest.raises(ValueError, match="updates-faulted"):
             expand(bad)
 
 

@@ -1,13 +1,14 @@
-"""Unit tests for the heterogeneous-sites extension."""
+"""Unit tests for per-site CPU speeds and the speed-aware LERT-HET."""
 
 import pytest
 
-from repro.extensions.heterogeneous import (
-    HeterogeneousDatabase,
-    HeterogeneousLERTPolicy,
-)
+from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
+from repro.runner import RunSpec, execute
+from repro.telemetry.exporters import events_to_jsonl
+from repro.telemetry.session import TelemetryConfig
+from repro.telemetry.tracing.export import decisions_to_jsonl, spans_to_chrome_json
 
 
 def _factors(config, slow=0.5, fast=2.0):
@@ -15,72 +16,79 @@ def _factors(config, slow=0.5, fast=2.0):
     return [slow] * half + [fast] * (config.num_sites - half)
 
 
+def _system(config, policy, factors, seed):
+    return DistributedDatabase(
+        config, make_policy(policy), seed=seed, cpu_speed_factors=factors
+    )
+
+
 class TestConstruction:
     def test_factor_count_must_match(self, tiny_config):
         with pytest.raises(ValueError):
-            HeterogeneousDatabase(tiny_config, make_policy("LERT"), [1.0])
+            _system(tiny_config, "LERT", [1.0], seed=0)
 
     def test_factors_must_be_positive(self, tiny_config):
         with pytest.raises(ValueError):
-            HeterogeneousDatabase(
-                tiny_config, make_policy("LERT"), [1.0, 0.0, 1.0]
-            )
+            _system(tiny_config, "LERT", [1.0, 0.0, 1.0], seed=0)
+
+    def test_factors_reach_the_sites(self, tiny_config):
+        system = _system(tiny_config, "LERT", [2.0, 1.0, 0.5], seed=0)
+        assert [site.cpu_speed for site in system.sites] == [2.0, 1.0, 0.5]
 
 
 class TestBehaviour:
     def test_unit_factors_match_base_system(self, tiny_config):
         base = DistributedDatabase(tiny_config, make_policy("LERT"), seed=1)
         rb = base.run(200.0, 1200.0)
-        het = HeterogeneousDatabase(
-            tiny_config, make_policy("LERT"), [1.0] * tiny_config.num_sites, seed=1
-        )
+        het = _system(tiny_config, "LERT", [1.0] * tiny_config.num_sites, seed=1)
         rh = het.run(200.0, 1200.0)
         # Same seeds, same workload, same (unit) speeds: identical runs.
         assert rh.mean_waiting_time == pytest.approx(rb.mean_waiting_time)
         assert rh.completions == rb.completions
 
+    def test_unit_factors_trace_like_base_system(self, tiny_config):
+        """Speeds of 1.0 give the plain system's results, event stream and
+        decision audit byte for byte (one life cycle serves both)."""
+        spec = RunSpec(
+            warmup=50.0,
+            duration=500.0,
+            seed=3,
+            telemetry=TelemetryConfig(events=True, spans=True, decisions=True),
+        )
+        plain = execute(
+            DistributedDatabase(tiny_config, make_policy("LERT"), seed=3), spec
+        )
+        unit = execute(
+            _system(tiny_config, "LERT", [1.0] * tiny_config.num_sites, seed=3),
+            spec,
+        )
+        assert plain.decisions and plain.spans
+        assert results_to_dict(unit.results) == results_to_dict(plain.results)
+        assert events_to_jsonl(unit.events) == events_to_jsonl(plain.events)
+        assert decisions_to_jsonl(unit.decisions) == decisions_to_jsonl(
+            plain.decisions
+        )
+        assert spans_to_chrome_json(unit.spans) == spans_to_chrome_json(plain.spans)
+
     def test_faster_fleet_responds_faster(self, tiny_config):
-        slow = HeterogeneousDatabase(
-            tiny_config, make_policy("LOCAL"), [1.0] * tiny_config.num_sites, seed=2
-        )
-        fast = HeterogeneousDatabase(
-            tiny_config, make_policy("LOCAL"), [2.0] * tiny_config.num_sites, seed=2
-        )
+        slow = _system(tiny_config, "LOCAL", [1.0] * tiny_config.num_sites, seed=2)
+        fast = _system(tiny_config, "LOCAL", [2.0] * tiny_config.num_sites, seed=2)
         rt_slow = slow.run(200.0, 1500.0).mean_response_time
         rt_fast = fast.run(200.0, 1500.0).mean_response_time
         assert rt_fast < rt_slow
 
     def test_local_hurt_by_heterogeneity(self, tiny_config):
-        uniform = HeterogeneousDatabase(
-            tiny_config, make_policy("LOCAL"), [1.0] * tiny_config.num_sites, seed=3
-        )
-        mixed = HeterogeneousDatabase(
-            tiny_config, make_policy("LOCAL"), _factors(tiny_config), seed=3
-        )
-        # Same mean speed-weighted capacity is not guaranteed, but LOCAL on
-        # a mixed fleet must be worse than informed allocation on the same
-        # fleet — tested next; here, mixed-LOCAL is worse than LERT-HET.
+        # LOCAL on a mixed fleet is worse than speed-aware allocation on
+        # the same fleet.
+        mixed = _system(tiny_config, "LOCAL", _factors(tiny_config), seed=3)
         rt_mixed_local = mixed.run(300.0, 1500.0).mean_response_time
-        informed = HeterogeneousDatabase(
-            tiny_config,
-            HeterogeneousLERTPolicy(),
-            _factors(tiny_config),
-            seed=3,
-        )
+        informed = _system(tiny_config, "LERT-HET", _factors(tiny_config), seed=3)
         rt_informed = informed.run(300.0, 1500.0).mean_response_time
         assert rt_informed < rt_mixed_local
-        assert uniform is not None  # keep the uniform run for symmetry
-
-    def test_lert_het_requires_heterogeneous_system(self, tiny_config):
-        system = DistributedDatabase(tiny_config, HeterogeneousLERTPolicy(), seed=4)
-        with pytest.raises(RuntimeError):
-            system.run(10.0, 50.0)
 
     def test_lert_het_prefers_fast_sites(self, tiny_config):
         factors = [0.25] + [1.0] * (tiny_config.num_sites - 1)
-        system = HeterogeneousDatabase(
-            tiny_config, HeterogeneousLERTPolicy(), factors, seed=5
-        )
+        system = _system(tiny_config, "LERT-HET", factors, seed=5)
         executed_at = []
         original = system.metrics.record
 
@@ -94,3 +102,17 @@ class TestBehaviour:
         # Site 0 is 4x slower; a speed-aware policy sends it well under its
         # fair 1/num_sites share of the work.
         assert slow_share < 1.0 / tiny_config.num_sites
+
+
+class TestLertHet:
+    def test_registered(self):
+        assert make_policy("LERT-HET").name == "LERT-HET"
+
+    def test_equals_lert_on_homogeneous_system(self, tiny_config):
+        payloads = {}
+        for name in ("LERT", "LERT-HET"):
+            system = DistributedDatabase(tiny_config, make_policy(name), seed=4)
+            payload = results_to_dict(system.run(100.0, 800.0))
+            payload.pop("policy")  # the only field that names the policy
+            payloads[name] = payload
+        assert payloads["LERT-HET"] == payloads["LERT"]

@@ -1,12 +1,18 @@
-"""Unit tests for the partial-replication extension."""
+"""Unit tests for partial replication (the candidate-site map)."""
 
 import pytest
 
-from repro.extensions.partial_replication import (
-    PartialReplicationDatabase,
-    ReplicationMap,
-)
+from repro.faults.plan import FaultPlan, MessageFaults, SiteOutage
+from repro.model.replication import ReplicationMap
+from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
+from repro.runner import RunSpec, execute
+from repro.workloads.arrivals import PoissonOpen
+from repro.workloads.spec import AdmissionControl, WorkloadSpec
+
+
+def _partial(config, policy, replication, **kwargs):
+    return DistributedDatabase(config, policy, replication=replication, **kwargs)
 
 
 class TestReplicationMap:
@@ -54,7 +60,7 @@ class TestPartialReplicationDatabase:
     def test_rejects_mismatched_map(self, tiny_config):
         replication = ReplicationMap.full(5)
         with pytest.raises(ValueError):
-            PartialReplicationDatabase(
+            _partial(
                 tiny_config, make_policy("LERT"), replication
             )
 
@@ -62,7 +68,7 @@ class TestPartialReplicationDatabase:
         replication = ReplicationMap.round_robin_k(
             tiny_config.num_sites, num_items=6, copies=2
         )
-        system = PartialReplicationDatabase(
+        system = _partial(
             tiny_config, make_policy("LERT"), replication, seed=1
         )
         violations = []
@@ -83,7 +89,7 @@ class TestPartialReplicationDatabase:
             tiny_config.num_sites, num_items=6, copies=1
         )
         for name in ("LOCAL", "RANDOM", "BNQ", "LERT"):
-            system = PartialReplicationDatabase(
+            system = _partial(
                 tiny_config, make_policy(name), replication, seed=2
             )
             results = system.run(warmup=100.0, duration=500.0)
@@ -94,7 +100,7 @@ class TestPartialReplicationDatabase:
             tiny_config.num_sites,
             tuple((1,) for _ in range(4)),  # everything lives on site 1
         )
-        system = PartialReplicationDatabase(
+        system = _partial(
             tiny_config, make_policy("LERT"), replication, seed=3
         )
         seen_sites = set()
@@ -110,7 +116,7 @@ class TestPartialReplicationDatabase:
 
     def test_item_weights_skew_access(self, tiny_config):
         replication = ReplicationMap.full(tiny_config.num_sites, num_items=2)
-        system = PartialReplicationDatabase(
+        system = _partial(
             tiny_config,
             make_policy("LOCAL"),
             replication,
@@ -133,18 +139,24 @@ class TestPartialReplicationDatabase:
     def test_invalid_item_weights(self, tiny_config):
         replication = ReplicationMap.full(tiny_config.num_sites, num_items=2)
         with pytest.raises(ValueError):
-            PartialReplicationDatabase(
+            _partial(
                 tiny_config,
                 make_policy("LOCAL"),
                 replication,
                 item_weights=(1.0,),
             )
         with pytest.raises(ValueError):
-            PartialReplicationDatabase(
+            _partial(
                 tiny_config,
                 make_policy("LOCAL"),
                 replication,
                 item_weights=(-1.0, 2.0),
+            )
+
+    def test_item_weights_need_a_map(self, tiny_config):
+        with pytest.raises(ValueError):
+            DistributedDatabase(
+                tiny_config, make_policy("LOCAL"), item_weights=(1.0, 1.0)
             )
 
     def test_more_copies_do_not_hurt(self, tiny_config):
@@ -154,8 +166,68 @@ class TestPartialReplicationDatabase:
             replication = ReplicationMap.round_robin_k(
                 tiny_config.num_sites, num_items=6, copies=copies
             )
-            system = PartialReplicationDatabase(
+            system = _partial(
                 tiny_config, make_policy("LERT"), replication, seed=5
             )
             waits[copies] = system.run(300.0, 2000.0).mean_waiting_time
         assert waits[3] < waits[1] * 1.05
+
+
+class TestWithFaultsAndOpenWorkloads:
+    """The candidate-site map composes with fault plans and open arrivals."""
+
+    PLAN = FaultPlan(
+        site_outages=(SiteOutage(site=1, at=150.0, duration=100.0),),
+        messages=MessageFaults(loss_prob=0.05),
+    )
+    OPEN = WorkloadSpec(
+        arrivals=PoissonOpen(rate=0.05), admission=AdmissionControl(max_pending=8)
+    )
+
+    def _report(self, config, spec, **mechanisms):
+        replication = ReplicationMap.round_robin_k(config.num_sites, 6, copies=2)
+        system = DistributedDatabase(
+            config,
+            make_policy("LERT"),
+            seed=spec.seed,
+            workload=spec.workload,
+            replication=replication,
+            **mechanisms,
+        )
+        violations = []
+        original_record = system.metrics.record
+
+        def spy(query):
+            if query.execution_site not in replication.holders(query.data_item):
+                violations.append(query.qid)
+            original_record(query)
+
+        system.metrics.record = spy
+        results = execute(system, spec).results
+        assert violations == []
+        return results
+
+    def test_under_a_fault_plan(self, tiny_config):
+        spec = RunSpec(warmup=50.0, duration=600.0, seed=7, faults=self.PLAN)
+        first = self._report(tiny_config, spec)
+        assert first.completions > 0
+        assert first.availability is not None
+        assert first == self._report(tiny_config, spec)
+
+    def test_under_an_open_workload(self, tiny_config):
+        spec = RunSpec(warmup=50.0, duration=600.0, seed=7, workload=self.OPEN)
+        first = self._report(tiny_config, spec)
+        assert first.completions > 0
+        assert first.workload is not None
+        assert first == self._report(tiny_config, spec)
+
+    def test_every_mechanism_at_once(self, tiny_config):
+        spec = RunSpec(warmup=50.0, duration=600.0, seed=7, workload=self.OPEN)
+        results = self._report(
+            tiny_config,
+            spec,
+            refresh_interval=25.0,
+            cpu_speed_factors=(2.0, 1.0, 0.5),
+            update_prob=0.2,
+        )
+        assert results.completions > 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.extensions.partial_replication import ReplicationMap
 from repro.extensions.subqueries import SubqueryDatabase
+from repro.model.replication import ReplicationMap
+from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
 
@@ -26,11 +27,9 @@ class TestConstruction:
 
 class TestBehaviour:
     def test_zero_multi_prob_degenerates_to_partial_replication(self, tiny_config):
-        from repro.extensions.partial_replication import PartialReplicationDatabase
-
         replication = _replication(tiny_config)
-        plain = PartialReplicationDatabase(
-            tiny_config, make_policy("LERT"), replication, seed=1
+        plain = DistributedDatabase(
+            tiny_config, make_policy("LERT"), seed=1, replication=replication
         )
         staged = SubqueryDatabase(
             tiny_config, make_policy("LERT"), replication, seed=1, multi_prob=0.0

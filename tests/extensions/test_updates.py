@@ -1,8 +1,8 @@
-"""Unit tests for the update-workload extension."""
+"""Unit tests for update queries and replica propagation."""
 
 import pytest
 
-from repro.extensions.updates import UpdateWorkloadDatabase
+from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
@@ -10,12 +10,28 @@ from repro.policies.registry import make_policy
 class TestConstruction:
     def test_invalid_arguments(self, tiny_config):
         with pytest.raises(ValueError):
-            UpdateWorkloadDatabase(tiny_config, make_policy("LERT"), update_prob=1.5)
+            DistributedDatabase(tiny_config, make_policy("LERT"), update_prob=1.5)
         with pytest.raises(ValueError):
-            UpdateWorkloadDatabase(tiny_config, make_policy("LERT"), update_pages=0)
+            DistributedDatabase(
+                tiny_config, make_policy("LERT"), update_prob=0.2, update_pages=0
+            )
         with pytest.raises(ValueError):
-            UpdateWorkloadDatabase(
-                tiny_config, make_policy("LERT"), apply_cpu_time=0.0
+            DistributedDatabase(
+                tiny_config, make_policy("LERT"), update_prob=0.2, apply_cpu_time=0.0
+            )
+
+    def test_read_only_by_default(self, tiny_config):
+        system = DistributedDatabase(tiny_config, make_policy("LERT"), seed=1)
+        assert system.update_prob is None
+        system.run(100.0, 500.0)
+        assert system.updates_executed == 0
+        assert system.pending_applies == 0
+
+    def test_rejected_under_a_fault_plan(self, tiny_config):
+        plan = FaultPlan(site_outages=(SiteOutage(1, 50.0, 20.0),))
+        with pytest.raises(ValueError, match="apply task"):
+            DistributedDatabase(
+                tiny_config, make_policy("LERT"), update_prob=0.2, faults=plan
             )
 
 
@@ -23,7 +39,7 @@ class TestBehaviour:
     def test_zero_update_prob_matches_base_system(self, tiny_config):
         base = DistributedDatabase(tiny_config, make_policy("LERT"), seed=1)
         rb = base.run(200.0, 1000.0)
-        updates = UpdateWorkloadDatabase(
+        updates = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=1, update_prob=0.0
         )
         ru = updates.run(200.0, 1000.0)
@@ -34,7 +50,7 @@ class TestBehaviour:
         assert ru.mean_waiting_time == pytest.approx(rb.mean_waiting_time, rel=0.35)
 
     def test_updates_propagate_to_all_replicas(self, tiny_config):
-        system = UpdateWorkloadDatabase(
+        system = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=2, update_prob=0.5
         )
         system.run(200.0, 1500.0)
@@ -47,7 +63,7 @@ class TestBehaviour:
         assert system.applies_completed > 0
 
     def test_update_fraction_tracks_probability(self, tiny_config):
-        system = UpdateWorkloadDatabase(
+        system = DistributedDatabase(
             tiny_config, make_policy("LOCAL"), seed=3, update_prob=0.3
         )
         results = system.run(0.0, 3000.0)
@@ -55,10 +71,10 @@ class TestBehaviour:
         assert fraction == pytest.approx(0.3, abs=0.05)
 
     def test_updates_increase_subnet_load(self, tiny_config):
-        quiet = UpdateWorkloadDatabase(
+        quiet = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=4, update_prob=0.0
         )
-        loud = UpdateWorkloadDatabase(
+        loud = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=4, update_prob=0.5
         )
         u_quiet = quiet.run(200.0, 1200.0).subnet_utilization
@@ -66,10 +82,10 @@ class TestBehaviour:
         assert u_loud > u_quiet
 
     def test_updates_slow_the_system(self, tiny_config):
-        light = UpdateWorkloadDatabase(
+        light = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=5, update_prob=0.0
         )
-        heavy = UpdateWorkloadDatabase(
+        heavy = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=5, update_prob=0.6
         )
         w_light = light.run(300.0, 2000.0).mean_waiting_time
@@ -79,7 +95,7 @@ class TestBehaviour:
     def test_policy_ranking_survives_updates(self, tiny_config):
         waits = {}
         for policy in ("LOCAL", "LERT"):
-            system = UpdateWorkloadDatabase(
+            system = DistributedDatabase(
                 tiny_config, make_policy(policy), seed=6, update_prob=0.2
             )
             waits[policy] = system.run(300.0, 2000.0).mean_waiting_time

@@ -160,14 +160,15 @@ class TestParallelReplay:
         assert serial == parallel
 
     def test_faults_rejected_for_extension_kinds(self, tiny_config):
-        with pytest.raises(ValueError, match="standard"):
+        # Updates are the one mechanism a fault plan cannot run under.
+        with pytest.raises(ValueError, match="fault plan"):
             ReplicationTask(
                 config=tiny_config,
                 policy="BNQ",
                 seed=1,
                 warmup=10.0,
                 duration=20.0,
-                system_kind="stale",
+                system_kind="updates",
                 faults=CHAOS,
             )
 

@@ -10,8 +10,8 @@ be checked.
 import dataclasses
 import math
 
-from repro.extensions.stale_info import StaleInfoDatabase
 from repro.model.config import paper_defaults
+from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
 from repro.telemetry.bus import EventBus
@@ -196,7 +196,7 @@ class TestRealRuns:
 
 class TestStaleness:
     def test_stale_views_surface_age_and_divergence(self):
-        system = StaleInfoDatabase(
+        system = DistributedDatabase(
             paper_defaults(), make_policy("BNQRD"), seed=11, refresh_interval=50.0
         )
         audit = DecisionAudit(system.sim.bus)

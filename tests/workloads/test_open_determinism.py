@@ -159,18 +159,6 @@ class TestExecuteBindsAtConstruction:
                 RunSpec(warmup=10.0, duration=20.0, seed=1, workload=POISSON),
             )
 
-    def test_open_workload_rejected_for_extension_kinds(self, tiny_config):
-        with pytest.raises(ValueError, match="standard"):
-            ReplicationTask(
-                config=tiny_config,
-                policy="BNQ",
-                seed=1,
-                warmup=10.0,
-                duration=20.0,
-                system_kind="stale",
-                workload=POISSON,
-            )
-
 
 class TestParallelReplay:
     def test_jobs2_matches_serial(self, tiny_config):
