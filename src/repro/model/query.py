@@ -61,8 +61,8 @@ class Query:
     #: queueing and network time.
     service_acquired: float = 0.0
 
-    #: Data item the query reads (partial-replication extension); None in
-    #: the fully replicated base model.
+    #: Data item the query reads (with a replication map); None in the
+    #: fully replicated base model.
     data_item: Optional[int] = None
 
     #: Times the query moved between sites mid-execution (migration

@@ -37,7 +37,7 @@ class WorkloadGenerator:
         self.sim = sim
         self.config = config
         # Per-run query id counter.  Query ids seed derived random streams
-        # in some extensions (e.g. update application), so they must be a
+        # for some mechanisms (e.g. update application), so they must be a
         # pure function of the run, not of process history — the
         # process-global default counter in ``repro.model.query`` would
         # make results depend on how many simulations ran earlier in the

@@ -95,8 +95,8 @@ class CostBasedPolicy(AllocationPolicy):
     """Figure 3's SelectSite over a subclass-provided SiteCost.
 
     Subclasses implement :meth:`site_cost`; the view supplies the
-    candidate set (the partial-replication extension narrows it to sites
-    holding a copy of the data, the fault layer removes down sites).
+    candidate set (a replication map narrows it to sites holding a copy
+    of the data, the fault layer removes down sites).
     """
 
     def __init__(self) -> None:
