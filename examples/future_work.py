@@ -1,7 +1,7 @@
 """The paper's future-work directions, running.
 
-Four extensions built on the same model (the first and third are
-mechanisms of ``DistributedDatabase`` itself, set by keyword parameters):
+Four extensions built on the same model, each a mechanism of
+``DistributedDatabase`` itself, set by keyword parameters:
 
 1. **Stale load information** — the paper assumes free, always-current load
    state; here information refreshes periodically, and the example shows
@@ -20,7 +20,6 @@ Run:  python examples/future_work.py
 """
 
 from repro import DistributedDatabase, make_policy, paper_defaults
-from repro.extensions import MigratingDatabase, SubqueryDatabase
 from repro.model.replication import ReplicationMap
 
 WARMUP = 1500.0
@@ -47,8 +46,12 @@ def main() -> None:
 
     print("2) Query migration between read cycles:")
     for threshold in (1.25, 1.5, 2.0):
-        system = MigratingDatabase(
-            config, make_policy("LERT"), seed=SEED, threshold=threshold
+        system = DistributedDatabase(
+            config,
+            make_policy("LERT"),
+            seed=SEED,
+            threshold=threshold,
+            max_migrations=2,
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(
@@ -83,11 +86,11 @@ def main() -> None:
         config.num_sites, num_items=24, copies=3
     )
     for name in ("LOCAL", "LERT"):
-        system = SubqueryDatabase(
+        system = DistributedDatabase(
             config,
             make_policy(name),
-            replication,
             seed=SEED,
+            replication=replication,
             multi_prob=0.5,
             subquery_count=3,
         )

@@ -35,9 +35,9 @@ Subpackages:
 * :mod:`repro.policies` — the allocation policies.
 * :mod:`repro.analysis` — the §3 optimal-allocation study (WIF/FIF).
 * :mod:`repro.experiments` — table-regeneration harness.
-* :mod:`repro.extensions` — future-work life cycles (query migration,
-  subquery pipelines); stale load info, update queries, heterogeneous
-  CPU speeds and partial replication are mechanisms of
+* The paper's §6.2 future work and relaxed assumptions — query
+  migration, subquery pipelines, stale load info, update queries,
+  heterogeneous CPU speeds and partial replication — are mechanisms of
   :class:`DistributedDatabase` itself (keyword-only parameters).
 * :mod:`repro.telemetry` — typed event bus, metrics registry, timeline
   sampler, exporters, query-lifecycle tracing, and the allocation
@@ -138,7 +138,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "DistributedDatabase",

@@ -65,8 +65,9 @@ class Query:
     #: fully replicated base model.
     data_item: Optional[int] = None
 
-    #: Times the query moved between sites mid-execution (migration
-    #: extension); always 0 in the base model.
+    #: Times the query moved between sites mid-execution (the
+    #: ``max_migrations`` mechanism of ``DistributedDatabase``); always 0
+    #: when migration is off.
     migrations: int = 0
 
     #: How many fault events the query was exposed to (site crashes that

@@ -91,18 +91,23 @@ class DBSite:
         query: "Query",
         workload: "WorkloadGenerator",
         rng: random.Random,
+        reads: int,
     ) -> Generator[ServiceRequest, None, None]:
-        """Run *query*'s disk/CPU cycles at this site (a generator).
+        """Run *reads* of *query*'s disk/CPU cycles at this site (a generator).
 
-        The paper's execution model: ``actual_reads`` alternating
-        disk-read / CPU-burst cycles, drawn from the query's private
-        random stream; each CPU burst is divided by the site's
-        ``cpu_speed``.  Sets ``query.started_at`` / ``query.finished_at``
-        and accumulates ``query.service_acquired``; yielded from the
-        query life cycle via ``yield from``.
+        The paper's execution model: alternating disk-read / CPU-burst
+        cycles, drawn from the query's private random stream; each CPU
+        burst is divided by the site's ``cpu_speed``.  A query runs all
+        its ``actual_reads`` in one call unless the life cycle splits
+        them (subquery stages, migration checks).  Sets
+        ``query.started_at`` on the query's first call and
+        ``query.finished_at`` on every call, and accumulates
+        ``query.service_acquired``; yielded from the query life cycle via
+        ``yield from``.
         """
         sim = self.sim
-        query.started_at = sim.now
+        if query.started_at is None:
+            query.started_at = sim.now
         bus = sim.bus
         if bus.active and bus.wants(ServiceStarted):
             bus.emit(
@@ -110,12 +115,12 @@ class DBSite:
                     time=sim.now,
                     qid=query.qid,
                     site=self.index,
-                    reads=query.actual_reads,
+                    reads=reads,
                 )
             )
         spec = query.spec
         speed = self.cpu_speed
-        for _ in range(query.actual_reads):
+        for _ in range(reads):
             disk_time = workload.disk_time(rng)
             yield self.disk_service(disk_time, rng)
             query.service_acquired += disk_time

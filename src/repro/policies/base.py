@@ -87,6 +87,17 @@ class AllocationPolicy:
         """
         raise NotImplementedError(f"policy {self.name!r} does not implement select()")
 
+    def recost(
+        self, query: Query, view: SystemView, threshold: float = 1.0
+    ) -> Optional[int]:
+        """Re-cost *query* from ``view.arrival_site``, or ``None`` without costs.
+
+        Policies without a cost function (LOCAL, RANDOM, the threshold
+        family) return ``None``: the caller decides what staying put
+        means.  See :meth:`CostBasedPolicy.recost`.
+        """
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<policy {self.name}>"
 
@@ -136,6 +147,39 @@ class CostBasedPolicy(AllocationPolicy):
             if cost < min_cost:
                 min_cost = cost
                 best_site = site
+        return best_site
+
+    def recost(
+        self, query: Query, view: SystemView, threshold: float = 1.0
+    ) -> Optional[int]:
+        """The cheapest candidate for *query* seen from ``view.arrival_site``.
+
+        Used mid-life-cycle — a subquery stage choosing its site, a
+        running query deciding whether to migrate — where the arrival
+        site is wherever the query is now.  Candidates are scanned in
+        order (no round-robin rotation, so :meth:`select`'s scan state is
+        untouched) and the arrival site wins ties.  A candidate other
+        than the arrival site is chosen only if its cost times
+        *threshold* is still below the cost of staying (hysteresis;
+        ``1.0`` means strictly cheaper).  When the arrival site is not a
+        candidate the cheapest candidate is returned.
+        """
+        self._view = view
+        here = view.arrival_site
+        candidates = view.candidates(query)
+        best_site, best_cost = -1, float("inf")
+        if here in candidates:
+            best_site = here
+            best_cost = self.site_cost(query, here)
+        stay_cost = best_cost
+        for site in candidates:
+            if site == here:
+                continue
+            cost = self.site_cost(query, site)
+            if cost < best_cost:
+                best_site, best_cost = site, cost
+        if best_site != here and best_cost * threshold >= stay_cost:
+            return here
         return best_site
 
 

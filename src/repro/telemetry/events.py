@@ -298,7 +298,11 @@ class QueryShed(TelemetryEvent):
 
 @dataclass(frozen=True, slots=True)
 class AllocationDecided(TelemetryEvent):
-    """The full audit record of one ``AllocationPolicy.select`` call.
+    """The full audit record of one allocation decision.
+
+    A decision is an ``AllocationPolicy.select`` call, a subquery stage's
+    placement, or a migration move; the estimates are those of the work
+    being placed (the stage, or the reads left).
 
     Opt-in like :class:`TraceMessage`: the system only constructs these
     when a subscriber asked for ``AllocationDecided`` specifically

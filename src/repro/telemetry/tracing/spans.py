@@ -6,28 +6,32 @@ are comparable byte-for-byte across runs and safe to hold after a run.
 
 Span kinds (one row per event pairing):
 
-==================  =====================================================
-Kind                Interval
-==================  =====================================================
-``query``           ``QueryCreated`` → ``QueryCompleted`` (or
-                    ``QueryLost`` under faults) — the full life cycle.
-``queue``           ``QueryAllocated`` → ``ServiceStarted`` — committed
-                    to a site but not yet executing (includes any subnet
-                    transit toward a remote site).
-``service``         ``ServiceStarted`` → ``ServiceFinished`` — the
-                    disk/CPU cycles at the execution site.
-``transfer.query``  one ``QueryTransferred(kind="query")`` — the channel
-                    occupancy estimate of the descriptor's hop.
-``transfer.result`` same for the result hop home.
-``backoff``         one ``QueryRetried`` — the exponential-backoff wait
-                    before re-entering allocation.
-``abort``           instant — a site crash aborted the query.
-``drop``            instant — the subnet lost a transfer.
-``lost``            instant — the retry budget ran out.
-``shed``            instant — admission control dropped an open-workload
-                    arrival (``qid`` is -1: the arrival never became a
-                    query; the span ID derives from its site and serial).
-==================  =====================================================
+========================  ===================================================
+Kind                      Interval
+========================  ===================================================
+``query``                 ``QueryCreated`` → ``QueryCompleted`` (or
+                          ``QueryLost`` under faults) — the full life cycle.
+``queue``                 ``QueryAllocated`` → ``ServiceStarted`` — committed
+                          to a site but not yet executing (includes any subnet
+                          transit toward a remote site).
+``service``               ``ServiceStarted`` → ``ServiceFinished`` — the
+                          disk/CPU cycles of one ``DBSite.execute`` call (a
+                          whole query, a subquery stage, or a batch of reads
+                          between migration checks).
+``transfer.query``        one ``QueryTransferred(kind="query")`` — the channel
+                          occupancy estimate of the descriptor's hop.
+``transfer.result``       same for the result hop home.
+``transfer.data-move``    same for a pipeline's move to its next stage.
+``transfer.migration``    same for a running query's migration.
+``backoff``               one ``QueryRetried`` — the exponential-backoff wait
+                          before re-entering allocation.
+``abort``                 instant — a site crash aborted the query.
+``drop``                  instant — the subnet lost a transfer.
+``lost``                  instant — the retry budget ran out.
+``shed``                  instant — admission control dropped an open-workload
+                          arrival (``qid`` is -1: the arrival never became a
+                          query; the span ID derives from its site and serial).
+========================  ===================================================
 
 **Deterministic span IDs.** Every ID is a BLAKE2b-64 digest of
 ``(run seed, query serial, kind, per-query kind index)`` — see

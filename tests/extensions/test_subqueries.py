@@ -1,8 +1,7 @@
-"""Unit tests for the subquery-pipeline extension."""
+"""Unit tests for the subquery-pipeline mechanism of DistributedDatabase."""
 
 import pytest
 
-from repro.extensions.subqueries import SubqueryDatabase
 from repro.model.replication import ReplicationMap
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -12,17 +11,41 @@ def _replication(config, copies=2, items=8):
     return ReplicationMap.round_robin_k(config.num_sites, items, copies)
 
 
+def pipelined(config, policy, replication, seed=0, multi_prob=0.5, **kwargs):
+    """A system that runs a *multi_prob* share of queries as pipelines."""
+    return DistributedDatabase(
+        config,
+        policy,
+        seed=seed,
+        replication=replication,
+        multi_prob=multi_prob,
+        **kwargs,
+    )
+
+
 class TestConstruction:
     def test_invalid_arguments(self, tiny_config):
         replication = _replication(tiny_config)
         with pytest.raises(ValueError):
-            SubqueryDatabase(
+            pipelined(
                 tiny_config, make_policy("LERT"), replication, multi_prob=1.5
             )
         with pytest.raises(ValueError):
-            SubqueryDatabase(
+            pipelined(
                 tiny_config, make_policy("LERT"), replication, subquery_count=1
             )
+
+    def test_pipelines_need_a_replication_map(self, tiny_config):
+        with pytest.raises(ValueError, match="replication map"):
+            DistributedDatabase(tiny_config, make_policy("LERT"), multi_prob=0.5)
+
+    def test_off_by_default(self, tiny_config):
+        system = DistributedDatabase(
+            tiny_config, make_policy("LERT"), replication=_replication(tiny_config)
+        )
+        assert system.multi_prob is None
+        system.run(100.0, 500.0)
+        assert system.distributed_queries == 0
 
 
 class TestBehaviour:
@@ -31,7 +54,7 @@ class TestBehaviour:
         plain = DistributedDatabase(
             tiny_config, make_policy("LERT"), seed=1, replication=replication
         )
-        staged = SubqueryDatabase(
+        staged = pipelined(
             tiny_config, make_policy("LERT"), replication, seed=1, multi_prob=0.0
         )
         rp = plain.run(200.0, 1200.0)
@@ -44,7 +67,7 @@ class TestBehaviour:
         assert rs.mean_waiting_time == pytest.approx(rp.mean_waiting_time, rel=0.5)
 
     def test_distributed_fraction_tracks_probability(self, tiny_config):
-        system = SubqueryDatabase(
+        system = pipelined(
             tiny_config,
             make_policy("LERT"),
             _replication(tiny_config),
@@ -57,7 +80,7 @@ class TestBehaviour:
 
     def test_stages_run_only_at_holders(self, tiny_config):
         replication = _replication(tiny_config, copies=1)
-        system = SubqueryDatabase(
+        system = pipelined(
             tiny_config,
             make_policy("LERT"),
             replication,
@@ -72,7 +95,7 @@ class TestBehaviour:
         assert system.data_moves > 0
 
     def test_load_board_balanced_at_end(self, tiny_config):
-        system = SubqueryDatabase(
+        system = pipelined(
             tiny_config,
             make_policy("LERT"),
             _replication(tiny_config),
@@ -91,7 +114,7 @@ class TestBehaviour:
         loaded = tiny_config.with_site(think_time=15.0)
         waits = {}
         for name in ("LOCAL", "LERT"):
-            system = SubqueryDatabase(
+            system = pipelined(
                 loaded,
                 make_policy(name),
                 _replication(loaded, copies=3),
@@ -102,7 +125,7 @@ class TestBehaviour:
         assert waits["LERT"] < waits["LOCAL"]
 
     def test_works_with_non_cost_policies(self, tiny_config):
-        system = SubqueryDatabase(
+        system = pipelined(
             tiny_config,
             make_policy("RANDOM"),
             _replication(tiny_config),
@@ -115,7 +138,7 @@ class TestBehaviour:
     def test_more_stages_more_moves(self, tiny_config):
         moves = {}
         for count in (2, 4):
-            system = SubqueryDatabase(
+            system = pipelined(
                 tiny_config,
                 make_policy("LERT"),
                 _replication(tiny_config),

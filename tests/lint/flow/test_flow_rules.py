@@ -398,7 +398,7 @@ def test_rl018_flags_set_iteration_that_schedules(tmp_path):
 def test_rl018_flags_callee_mediated_draw(tmp_path):
     # The draw happens inside a local helper the loop calls.
     files = {
-        "repro/extensions/jitter.py": """
+        "repro/model/jitter.py": """
             def _jitter(sim):
                 rng = sim.rng.stream("ext.jitter")
                 return rng.random()

@@ -9,6 +9,7 @@ from repro.model.config import paper_defaults
 from repro.model.query import make_query
 from repro.model.view import SystemView
 from repro.policies.base import CostBasedPolicy
+from repro.policies.local import LocalPolicy
 
 
 class StubSystem:
@@ -109,3 +110,42 @@ class TestFigure3Semantics:
         policy = ScriptedPolicy({})
         with pytest.raises(RuntimeError):
             _ = policy.loads
+
+
+class TestRecost:
+    """``recost``: the mid-life-cycle placement shared by stages and migration."""
+
+    def _recost(self, costs, arrival=1, threshold=1.0, candidates=None):
+        system = StubSystem()
+        system._candidates = candidates
+        policy = ScriptedPolicy(costs)
+        policy.bind(system)
+        site = policy.recost(_query(system), SystemView(system, arrival), threshold)
+        return site, policy
+
+    def test_scans_in_order_without_rotating(self):
+        site, policy = self._recost({0: 3.0, 1: 4.0, 2: 1.0, 3: 1.0})
+        assert site == 2  # the first of two equal minima
+        assert policy.probes == [1, 0, 2, 3]
+        assert policy._scan_offset == 0
+
+    def test_arrival_site_wins_ties(self):
+        site, _ = self._recost({0: 2.0, 1: 2.0, 2: 2.0, 3: 2.0})
+        assert site == 1
+
+    def test_threshold_is_hysteresis(self):
+        costs = {0: 3.0, 1: 4.0, 2: 3.5, 3: 9.0}
+        assert self._recost(costs, threshold=1.25)[0] == 0
+        assert self._recost(costs, threshold=1.5)[0] == 1
+
+    def test_arrival_site_not_a_candidate(self):
+        site, _ = self._recost(
+            {0: 5.0, 2: 7.0, 3: 6.0}, candidates=(2, 3), threshold=100.0
+        )
+        assert site == 3
+
+    def test_policies_without_costs_return_none(self):
+        system = StubSystem()
+        policy = LocalPolicy()
+        policy.bind(system)
+        assert policy.recost(_query(system), SystemView(system, 0)) is None
