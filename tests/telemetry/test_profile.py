@@ -4,10 +4,13 @@ The cardinal rule: profiling must observe, never perturb — a profiled
 run's `SystemResults` are exactly the unprofiled run's.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
+from repro.sim.events import EventQueue
 from repro.telemetry.profile import KernelProfiler, PhaseReport, main
 
 
@@ -29,9 +32,12 @@ class TestNonPerturbation:
         queue = system.sim._queue
         profiler = KernelProfiler(system)
         profiler.install()
-        assert system.sim._queue is not queue
+        # The queue is instrumented in place: same object, timed class.
+        assert system.sim._queue is queue
+        assert type(queue) is not EventQueue
         profiler.uninstall()
         assert system.sim._queue is queue
+        assert type(queue) is EventQueue
         assert "select" not in system.policy.__dict__
         assert "emit" not in system.sim.bus.__dict__
         # The restored system still runs.
@@ -49,6 +55,28 @@ class TestPhaseAttribution:
         assert report.queue_calls > 0
         assert report.policy_calls > 0
         assert report.dispatch >= 0.0
+
+    def test_counts_rents_from_processes_and_servers(
+        self, tiny_config, monkeypatch
+    ):
+        # Processes and servers cache the queue object when they are
+        # built; the profiler must still see every operation they make.
+        system = build(tiny_config)
+        counts: Counter = Counter()
+        for name in (
+            "push", "rent", "recycle", "cancel", "peek_time", "pop",
+            "pop_due", "clear",
+        ):
+            def counted(queue, *args, _original=getattr(EventQueue, name),
+                        _name=name):
+                counts[_name] += 1
+                return _original(queue, *args)
+
+            monkeypatch.setattr(EventQueue, name, counted)
+        with KernelProfiler(system) as profiler:
+            system.run(warmup=50.0, duration=300.0)
+        assert counts["rent"] > 0
+        assert profiler.report().queue_calls == sum(counts.values())
 
     def test_telemetry_phase_is_zero_when_disabled(self, tiny_config):
         system = build(tiny_config)
