@@ -643,10 +643,11 @@ class EventListEncapsulation(Rule):
     ``(time, priority, seq)`` with lazy deletion — whose invariants live
     entirely in ``repro.sim.events`` (:class:`EventQueue` and the
     :class:`MinHeap` helper resources use).  A stray ``import heapq`` or
-    a reach into private queue structures (``_heap``, ``_buckets``,
-    ``_keys``, ``_free``) creates a second place where ordering or liveness can drift — exactly the kind
-    of silent divergence the golden-trace suite exists to catch, except
-    at a call site the suite may not cover.  Everything else goes through
+    a reach into private queue structures (``_heap``, ``_lane``,
+    ``_buckets``, ``_keys``, ``_free``) creates a second place where
+    ordering or liveness can drift — exactly the kind of silent
+    divergence the golden-trace suite exists to catch, except at a call
+    site the suite may not cover.  Everything else goes through
     the queue's public API (``push``/``rent``/``cancel``/``pop_due``).
     """
 
@@ -654,14 +655,14 @@ class EventListEncapsulation(Rule):
     name = "event-list-encapsulation"
     summary = (
         "no heapq import or event-queue private-structure access "
-        "(_heap/_buckets/_keys/_free) outside repro.sim.events; use the "
+        "(_heap/_lane/_buckets/_keys/_free) outside repro.sim.events; use the "
         "EventQueue/MinHeap public API"
     )
     scope = ("repro",)
 
     _HOME = "repro.sim.events"
     _PRIVATE_ATTRS: FrozenSet[str] = frozenset(
-        {"_heap", "_buckets", "_keys", "_free"}
+        {"_heap", "_lane", "_buckets", "_keys", "_free"}
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:

@@ -10,7 +10,10 @@ The future-event list, :class:`EventQueue`, keeps a total order by
 ``(time, priority, seq, event)`` *tuples*, so every sift comparison runs at
 C speed instead of calling :meth:`Event.__lt__`, plus a free-list that
 recycles the :class:`Event` objects of kernel-internal resume events (see
-:meth:`EventQueue.rent`).
+:meth:`EventQueue.rent`).  Rented events due at the current instant, which
+is about half of all events in a paper run (every zero-delay process
+resume), skip the heap: they wait in a FIFO *same-instant lane* that the
+pop operations merge with the heap by the same full key.
 
 The monotonically increasing sequence number guarantees deterministic FIFO
 ordering among events scheduled for the same instant, which in turn makes
@@ -26,7 +29,8 @@ RL012 forbids ``heapq`` (and ``_heap`` access) everywhere else in
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Protocol, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Protocol, Tuple
 
 from repro.sim.errors import SchedulingError
 
@@ -46,9 +50,10 @@ class Event:
     """A callback scheduled to run at a simulated time.
 
     Events are created through :meth:`repro.sim.engine.Simulator.schedule`
-    rather than directly.  An event may be *cancelled*, which is the only
-    safe way to retract it: cancelled events stay in the heap but are
-    silently discarded when popped (lazy deletion).
+    rather than directly.  The only way to retract one is
+    :meth:`repro.sim.engine.Simulator.cancel` (:meth:`EventQueue.cancel`):
+    cancelled events stay in the queue but are silently discarded when
+    popped (lazy deletion).
 
     Attributes:
         time: Simulated time at which the event fires.
@@ -98,15 +103,6 @@ class Event:
         """Whether the event has been retracted and will not fire."""
         return self._cancelled
 
-    def cancel(self) -> None:
-        """Retract the event.
-
-        Cancelling an event that has already fired or was already cancelled
-        is a no-op; this keeps resource code simple (it may hold on to stale
-        completion events).
-        """
-        self._cancelled = True
-
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.priority, self.seq) < (
             other.time,
@@ -128,7 +124,7 @@ _Entry = Tuple[float, int, int, Event]
 
 
 class EventQueue:
-    """Future-event list: a lazy-deletion binary heap of entry tuples.
+    """Future-event list: a lazy-deletion heap plus a same-instant lane.
 
     The queue never raises on cancelled events; they are skipped during
     :meth:`pop`.  ``len(queue)`` counts live (non-cancelled) events.
@@ -141,14 +137,29 @@ class EventQueue:
     * :meth:`rent`/:meth:`recycle` reuse :class:`Event` objects for the
       engine's internal resume events (one slot-write burst instead of an
       allocation per event);
+    * a rented event due at the current instant goes into the
+      *same-instant lane*, a FIFO ``deque`` of entries, instead of the
+      heap: one append and one ``popleft`` instead of two O(log n) sifts;
     * :meth:`pop_due` fuses the engine loop's "peek, bounds-check, pop"
       triple into a single call that drops cancelled entries as it goes.
+
+    The lane's invariant: every lane entry has the same time, the
+    queue's current instant, and the entries sit in ``seq`` order.  The
+    current instant starts at ``0.0`` and becomes the time of each event
+    that leaves the heap while the lane is empty; it cannot change while
+    the lane holds entries.  Rented entries carry
+    :data:`DEFAULT_PRIORITY`, so the lane is sorted by the full
+    ``(time, priority, seq)`` key, and the pop operations take the lane
+    head only when the heap top's key is greater: events fire in exactly
+    the order a single heap would give them.
     """
 
-    __slots__ = ("_heap", "_seq", "_live", "_free")
+    __slots__ = ("_heap", "_lane", "_now", "_seq", "_live", "_free")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
+        self._lane: Deque[_Entry] = deque()
+        self._now = 0.0
         self._seq = 0
         self._live = 0
         self._free: List[Event] = []
@@ -177,10 +188,11 @@ class EventQueue:
         kernel (the process layer's resume events): the caller must drop
         its reference once the event fires or is cancelled, because the
         object returns to the free-list via :meth:`recycle` and will be
-        reincarnated with a fresh ``seq``.  Stale heap entries of a
+        reincarnated with a fresh ``seq``.  Stale queue entries of a
         recycled event are impossible — recycling happens only when the
-        event's entry leaves the heap.  Rented events always carry
-        :data:`DEFAULT_PRIORITY`.
+        event's entry leaves the queue.  Rented events always carry
+        :data:`DEFAULT_PRIORITY`; one due at the current instant goes
+        into the same-instant lane.
         """
         free = self._free
         if free:
@@ -196,7 +208,10 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         event.seq = seq
-        heapq.heappush(self._heap, (time, DEFAULT_PRIORITY, seq, event))
+        if time == self._now:
+            self._lane.append((time, DEFAULT_PRIORITY, seq, event))
+        else:
+            heapq.heappush(self._heap, (time, DEFAULT_PRIORITY, seq, event))
         self._live += 1
         return event
 
@@ -205,7 +220,7 @@ class EventQueue:
 
         Called by the engine after the callback ran, and internally when a
         cancelled recyclable entry is dropped; never call it while the
-        event still has a heap entry.
+        event still has a queue entry.
         """
         event.callback = _discarded_callback
         self._free.append(event)
@@ -227,15 +242,20 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if not event._cancelled:
-                return entry[0]
-            heapq.heappop(heap)
+        lane = self._lane
+        while lane and lane[0][3]._cancelled:
+            event = lane.popleft()[3]
             if event.recyclable:
                 self.recycle(event)
+        heap = self._heap
+        while heap and heap[0][3]._cancelled:
+            event = heapq.heappop(heap)[3]
+            if event.recyclable:
+                self.recycle(event)
+        if lane and not (heap and heap[0] < lane[0]):
+            return lane[0][0]
+        if heap:
+            return heap[0][0]
         return None
 
     def pop(self) -> Event:
@@ -244,17 +264,10 @@ class EventQueue:
         Raises:
             SchedulingError: If the queue holds no live events.
         """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if event._cancelled:
-                if event.recyclable:
-                    self.recycle(event)
-                continue
-            event.fired = True
-            self._live -= 1
-            return event
-        raise SchedulingError("event queue is empty")
+        event = self._pop_due(_INFINITY)
+        if event is None:
+            raise SchedulingError("event queue is empty")
+        return event
 
     def pop_due(self, until: float) -> Optional[Event]:
         """Pop the next live event with ``time <= until``, else ``None``.
@@ -262,29 +275,52 @@ class EventQueue:
         The engine's inner loop runs on this: it fuses ``peek_time`` +
         horizon check + ``pop`` into one call (pass ``math.inf`` for an
         unbounded run).  Cancelled entries encountered on the way are
-        dropped and their recyclable events free-listed.
+        dropped and their recyclable events free-listed.  The lane head
+        is taken unless the heap top's key is smaller.
         """
+        lane = self._lane
         heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event._cancelled:
-                heappop(heap)
-                if event.recyclable:
-                    self.recycle(event)
-                continue
-            if entry[0] > until:
+        while True:
+            if lane and not (heap and heap[0] < lane[0]):
+                entry = lane[0]
+                event = entry[3]
+                if event._cancelled:
+                    lane.popleft()
+                    if event.recyclable:
+                        self.recycle(event)
+                    continue
+                if entry[0] > until:
+                    return None
+                lane.popleft()
+            elif heap:
+                entry = heap[0]
+                event = entry[3]
+                if event._cancelled:
+                    heapq.heappop(heap)
+                    if event.recyclable:
+                        self.recycle(event)
+                    continue
+                time = entry[0]
+                if time > until:
+                    return None
+                heapq.heappop(heap)
+                if not lane:
+                    self._now = time
+            else:
                 return None
-            heappop(heap)
             event.fired = True
             self._live -= 1
             return event
-        return None
+
+    #: :meth:`pop` runs the same loop without looking up ``pop_due``, so
+    #: wrappers of both (the kernel profiler, ``repro.sanitize``) see a
+    #: ``pop`` as one operation.
+    _pop_due = pop_due
 
     def clear(self) -> None:
         """Discard every pending event."""
         self._heap.clear()
+        self._lane.clear()
         self._live = 0
 
 
@@ -293,40 +329,30 @@ class _SupportsLessThan(Protocol):
 
 
 
-class MinHeap:
+class MinHeap(List[Any]):
     """A slim kernel-internal min-heap over totally ordered entries.
 
     Resource implementations (e.g. the PS server's virtual-finish order)
     use this instead of touching :mod:`heapq` themselves, keeping every
     heap invariant in this module (enforced by reprolint RL012).
     Entries must be tuples whose comparable prefix is unique, exactly
-    like the future-event list's.
+    like the future-event list's.  It is a ``list`` subclass so that
+    ``len()`` and truth tests stay in C; use only :meth:`push`,
+    :meth:`pop`, :meth:`peek` and ``clear`` on it.
     """
 
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+    __slots__ = ()
 
     def push(self, item: _SupportsLessThan) -> None:
-        heapq.heappush(self._items, item)
+        heapq.heappush(self, item)
 
-    def pop(self) -> Any:
+    def pop(self) -> Any:  # type: ignore[override]
         """Remove and return the smallest entry (raises IndexError if empty)."""
-        return heapq.heappop(self._items)
+        return heapq.heappop(self)
 
     def peek(self) -> Any:
         """The smallest entry without removing it (raises IndexError if empty)."""
-        return self._items[0]
-
-    def clear(self) -> None:
-        self._items.clear()
+        return self[0]
 
 
 def validate_delay(now: float, delay: float, what: str = "delay") -> float:

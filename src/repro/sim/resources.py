@@ -15,9 +15,15 @@ disciplines:
 
 Both servers integrate with the process layer: a model process does
 ``yield server.service(demand)`` and is resumed when its service completes.
-Each server keeps standard monitors (utilization, queue length, waiting and
-response-time tallies) so experiments can read statistics without
+Each server keeps standard monitors (utilization, time-average population
+and a completion count) so experiments can read statistics without
 instrumenting model code.
+
+Hot-path layout (see ``docs/performance.md``): a disk read or CPU burst
+is the unit of work every query repeats, so the stations carry no
+per-service objects beyond what the event list needs.  An FCFS or delay
+job is its own (slotted) completion callback, PS jobs are plain heap
+tuples, and completion events are rented from the future-event list.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.sim.errors import ResourceError
 from repro.sim.events import Event, MinHeap, validate_delay
-from repro.sim.monitor import Tally, TimeWeighted
+from repro.sim.monitor import TimeWeighted
 from repro.sim.process import Command, Process
 
 _INFINITY = math.inf
@@ -58,10 +64,6 @@ class Server:
         self.population = TimeWeighted(sim, name=f"{name}.population")
         #: Time-average number of busy servers (for utilization).
         self.busy = TimeWeighted(sim, name=f"{name}.busy")
-        #: Queueing delay from arrival to start of service.
-        self.waits = Tally(name=f"{name}.wait")
-        #: Total time at the station (queueing + service).
-        self.responses = Tally(name=f"{name}.response")
         self.completions = 0
         # Completion events are the hottest schedule() call sites of the
         # model layer: the trace label is precomputed once per station and
@@ -83,8 +85,6 @@ class Server:
         """Truncate all monitors (warmup end)."""
         self.population.reset()
         self.busy.reset()
-        self.waits.reset()
-        self.responses.reset()
         self.completions = 0
 
     def utilization(self, server_count: int = 1) -> float:
@@ -112,14 +112,25 @@ class Server:
 
 
 class _FCFSJob:
-    """Bookkeeping record for one in-service job at a :class:`FCFSServer`."""
+    """One in-service job at a :class:`FCFSServer`; its own completion callback."""
 
-    __slots__ = ("process", "arrived", "event")
+    __slots__ = ("server", "process", "event")
 
-    def __init__(self, process: Process, arrived: float) -> None:
+    def __init__(self, server: "FCFSServer", process: Process) -> None:
+        self.server = server
         self.process = process
-        self.arrived = arrived
         self.event: Optional[Event] = None
+
+    def __call__(self) -> None:
+        self.event = None  # the rented event is returning to the free-list
+        server = self.server
+        server._active.remove(self)
+        server.busy.add(-1)
+        server.population.add(-1)
+        server.completions += 1
+        if server._queue:
+            server._begin(*server._queue.popleft())
+        self.process.resume_now()
 
 
 class FCFSServer(Server):
@@ -135,7 +146,7 @@ class FCFSServer(Server):
             raise ResourceError(f"{name}: need at least one server, got {servers}")
         super().__init__(sim, name)
         self.servers = servers
-        self._queue: Deque[Tuple[Process, float, float]] = deque()
+        self._queue: Deque[Tuple[Process, float]] = deque()
         self._active: List[_FCFSJob] = []
 
     @property
@@ -148,37 +159,20 @@ class FCFSServer(Server):
         return len(self._active)
 
     def _accept(self, process: Process, demand: float) -> None:
-        now = self.sim.now
         self.population.add(1)
         if len(self._active) < self.servers:
-            self._begin(process, demand, arrived=now)
+            self._begin(process, demand)
         else:
-            self._queue.append((process, demand, now))
+            self._queue.append((process, demand))
 
-    def _begin(self, process: Process, demand: float, arrived: float) -> None:
+    def _begin(self, process: Process, demand: float) -> None:
         now = self.sim.now
         self.busy.add(1)
-        self.waits.record(now - arrived)
-        job = _FCFSJob(process, arrived)
+        job = _FCFSJob(self, process)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)
-        job.event = self._equeue.rent(
-            now + demand, lambda: self._complete(job), self._done_label
-        )
+        job.event = self._equeue.rent(now + demand, job, self._done_label)
         self._active.append(job)
-
-    def _complete(self, job: _FCFSJob) -> None:
-        job.event = None  # the rented event is returning to the free-list
-        now = self.sim.now
-        self._active.remove(job)
-        self.busy.add(-1)
-        self.population.add(-1)
-        self.responses.record(now - job.arrived)
-        self.completions += 1
-        if self._queue:
-            next_process, next_demand, next_arrived = self._queue.popleft()
-            self._begin(next_process, next_demand, arrived=next_arrived)
-        job.process.resume_now()
 
     def abort_all(self) -> int:
         flushed = len(self._active) + len(self._queue)
@@ -196,18 +190,6 @@ class FCFSServer(Server):
         return super().utilization(server_count or self.servers)
 
 
-class _PSJob:
-    """Bookkeeping record for one job inside a :class:`PSServer`."""
-
-    __slots__ = ("process", "finish_virtual", "arrived", "seq")
-
-    def __init__(self, process: Process, finish_virtual: float, arrived: float, seq: int) -> None:
-        self.process = process
-        self.finish_virtual = finish_virtual
-        self.arrived = arrived
-        self.seq = seq
-
-
 class PSServer(Server):
     """An egalitarian Processor-Sharing server (virtual-time fair queueing).
 
@@ -216,7 +198,8 @@ class PSServer(Server):
     ``1/n`` in real time; a job with remaining demand ``d`` arriving at
     virtual time ``V`` finishes when the virtual clock reaches ``V + d``.
     Only the earliest virtual finish needs a scheduled event, and the event
-    is rebuilt on every arrival/departure.
+    is rebuilt on every arrival/departure.  Jobs are
+    ``(finish_virtual, seq, process)`` tuples in a :class:`MinHeap`.
     """
 
     def __init__(self, sim, name: str = "cpu") -> None:
@@ -241,29 +224,29 @@ class PSServer(Server):
 
     def _accept(self, process: Process, demand: float) -> None:
         now = self.sim.now
-        self._advance_virtual()
-        job = _PSJob(process, self._virtual + demand, now, next(self._seq))
-        self._jobs.push((job.finish_virtual, job.seq, job))
+        jobs = self._jobs
+        n = len(jobs)
+        if n:
+            self._virtual += (now - self._last_update) / n
+        self._last_update = now
+        jobs.push((self._virtual + demand, next(self._seq), process))
         self.population.add(1)
-        if len(self._jobs) == 1:
+        if not n:
             self.busy.set(1)
         # PS has no queueing phase: service starts immediately at reduced rate.
-        self.waits.record(0.0)
-        self._reschedule()
+        self._reschedule(now)
 
-    def _reschedule(self) -> None:
+    def _reschedule(self, now: float) -> None:
         if self._completion_event is not None:
-            self.sim.cancel(self._completion_event)
+            self._equeue.cancel(self._completion_event)
             self._completion_event = None
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
             return
-        n = len(self._jobs)
-        finish_virtual = self._jobs.peek()[0]
-        remaining_virtual = finish_virtual - self._virtual
+        remaining_virtual = jobs.peek()[0] - self._virtual
         if remaining_virtual < 0:  # floating-point drift guard
             remaining_virtual = 0.0
-        delay = remaining_virtual * n
-        now = self.sim.now
+        delay = remaining_virtual * len(jobs)
         if not 0.0 <= delay < _INFINITY:
             validate_delay(now, delay)
         self._completion_event = self._equeue.rent(
@@ -272,18 +255,19 @@ class PSServer(Server):
 
     def _complete_front(self) -> None:
         self._completion_event = None
-        self._advance_virtual()
-        finish_virtual, _seq, job = self._jobs.pop()
-        # Pin the virtual clock to the finish value to stop drift compounding.
-        self._virtual = max(self._virtual, finish_virtual)
         now = self.sim.now
+        jobs = self._jobs
+        virtual = self._virtual + (now - self._last_update) / len(jobs)
+        self._last_update = now
+        finish_virtual, _seq, process = jobs.pop()
+        # Pin the virtual clock to the finish value to stop drift compounding.
+        self._virtual = finish_virtual if finish_virtual > virtual else virtual
         self.population.add(-1)
-        if not self._jobs:
+        if not jobs:
             self.busy.set(0)
-        self.responses.record(now - job.arrived)
         self.completions += 1
-        self._reschedule()
-        job.process.resume_now()
+        self._reschedule(now)
+        process.resume_now()
 
     def abort_all(self) -> int:
         flushed = len(self._jobs)
@@ -296,6 +280,23 @@ class PSServer(Server):
             self.population.add(-flushed)
         self.busy.set(0)
         return flushed
+
+
+class _DelayJob:
+    """One customer at a :class:`DelayStation`; its own completion callback."""
+
+    __slots__ = ("server", "process")
+
+    def __init__(self, server: "DelayStation", process: Process) -> None:
+        self.server = server
+        self.process = process
+
+    def __call__(self) -> None:
+        server = self.server
+        server.population.add(-1)
+        server.busy.add(-1)
+        server.completions += 1
+        self.process.resume_now()
 
 
 class DelayStation(Server):
@@ -314,19 +315,9 @@ class DelayStation(Server):
         now = self.sim.now
         self.population.add(1)
         self.busy.add(1)
-        self.waits.record(0.0)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)
-        self._equeue.rent(
-            now + demand, lambda: self._complete(process, now), self._done_label
-        )
-
-    def _complete(self, process: Process, arrived: float) -> None:
-        self.population.add(-1)
-        self.busy.add(-1)
-        self.responses.record(self.sim.now - arrived)
-        self.completions += 1
-        process.resume_now()
+        self._equeue.rent(now + demand, _DelayJob(self, process), self._done_label)
 
 
 __all__ = [

@@ -43,6 +43,30 @@ class TestScheduling:
         sim.run()
         assert fired == []
 
+    def test_cancel_updates_pending_count(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.cancel(event)
+        assert sim.pending_events == 0
+        assert sim.step() is False
+
+    def test_cancel_of_same_instant_resume_updates_pending_count(self):
+        # A process launched with no delay has its first resume waiting in
+        # the queue's same-instant lane, not the heap.
+        sim = Simulator()
+        ran = []
+
+        def proc():
+            ran.append(sim.now)
+            yield Hold(1.0)
+
+        process = sim.launch(proc())
+        assert len(sim._queue._lane) == 1
+        sim.cancel(process._resume_event)
+        assert sim.pending_events == 0
+        assert sim.step() is False
+        assert ran == []
+
     def test_simultaneous_events_fire_fifo(self):
         sim = Simulator()
         order = []

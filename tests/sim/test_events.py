@@ -20,10 +20,12 @@ class TestEvent:
         assert not event.cancelled
 
     def test_cancel_is_idempotent(self):
-        event = Event(0.0, _noop)
-        event.cancel()
-        event.cancel()
+        queue = EventQueue()
+        event = queue.push(Event(0.0, _noop))
+        queue.cancel(event)
+        queue.cancel(event)
         assert event.cancelled
+        assert len(queue) == 0
 
     def test_ordering_by_time(self):
         early = Event(1.0, _noop)

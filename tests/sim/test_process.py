@@ -213,6 +213,38 @@ class TestErrors:
         sim.run()
         assert caught == [(2.0, "preempted")]
 
+    def test_interrupt_supersedes_same_instant_resume(self):
+        # reactivate() at the current instant puts the resume in the
+        # queue's same-instant lane; an interrupt at that instant must
+        # retract it, throw exactly once, and never fire the stale resume.
+        sim = Simulator()
+        log = []
+
+        def proc():
+            try:
+                yield Passivate()
+                log.append(("resumed", sim.now))
+            except RuntimeError as exc:
+                log.append(("caught", sim.now, str(exc)))
+            yield Hold(1.0)
+            log.append(("done", sim.now))
+
+        process = sim.launch(proc())
+
+        def poke():
+            process.reactivate("stale")
+            assert len(sim._queue._lane) == 1
+            process.interrupt(RuntimeError("preempted"))
+
+        sim.schedule(2.0, poke)
+        sim.run()
+        assert log == [("caught", 2.0, "preempted"), ("done", 3.0)]
+        assert process.terminated
+        assert sim.pending_events == 0
+        # launch, poke, throw, the Hold(1.0) resume: the stale resume
+        # never fired.
+        assert sim.events_fired == 4
+
     def test_interrupt_terminated_raises(self):
         sim = Simulator()
 

@@ -8,15 +8,22 @@ from repro.sim.process import Hold
 from repro.sim.resources import DelayStation, FCFSServer, PSServer
 
 
-def run_jobs(sim, server, arrivals):
-    """Launch jobs as (arrival_time, demand, tag); collect completions."""
+def run_jobs(sim, server, arrivals, responses=None):
+    """Launch jobs as (arrival_time, demand, tag); collect completions.
+
+    If *responses* is a dict, each job also stores its time at the
+    station (from yielding the request to being resumed) under its tag.
+    """
     done = []
 
     def job(delay, demand, tag):
         if delay > 0:
             yield Hold(delay)
+        arrived = sim.now
         yield server.service(demand)
         done.append((tag, sim.now))
+        if responses is not None:
+            responses[tag] = sim.now - arrived
 
     for delay, demand, tag in arrivals:
         sim.launch(job(delay, demand, tag))
@@ -49,10 +56,11 @@ class TestFCFSSingle:
     def test_waiting_time_recorded(self):
         sim = Simulator()
         server = FCFSServer(sim, servers=1)
-        run_jobs(sim, server, [(0.0, 2.0, "a"), (0.0, 2.0, "b")])
-        # a waits 0, b waits 2.
-        assert server.waits.count == 2
-        assert server.waits.mean == pytest.approx(1.0)
+        responses = {}
+        run_jobs(sim, server, [(0.0, 2.0, "a"), (0.0, 2.0, "b")], responses)
+        # a waits 0, b waits 2: waiting time is response minus demand.
+        waits = {tag: response - 2.0 for tag, response in responses.items()}
+        assert waits == {"a": pytest.approx(0.0), "b": pytest.approx(2.0)}
 
     def test_utilization(self):
         sim = Simulator()
@@ -214,8 +222,10 @@ class TestDelayStation:
     def test_response_equals_demand(self):
         sim = Simulator()
         delay = DelayStation(sim)
-        run_jobs(sim, delay, [(0.0, 3.0, "a")])
-        assert delay.responses.mean == pytest.approx(3.0)
+        responses = {}
+        run_jobs(sim, delay, [(0.0, 3.0, "a"), (1.0, 2.0, "b")], responses)
+        assert responses == {"a": pytest.approx(3.0), "b": pytest.approx(2.0)}
+        assert delay.completions == 2
 
 
 class TestStatisticsReset:
@@ -225,5 +235,12 @@ class TestStatisticsReset:
         run_jobs(sim, server, [(0.0, 2.0, "a")])
         server.reset_statistics()
         assert server.completions == 0
-        assert server.waits.count == 0
         assert server.population.time_average == 0.0
+        assert server.utilization() == 0.0
+        # Statistics restart from the reset instant: one more job that
+        # queues behind nothing is the only thing counted afterwards.
+        responses = {}
+        run_jobs(sim, server, [(1.0, 2.0, "b")], responses)
+        assert responses == {"b": pytest.approx(2.0)}
+        assert server.completions == 1
+        assert server.utilization() == pytest.approx(2.0 / 3.0)
