@@ -1,4 +1,4 @@
-"""Custom sensitivity analysis with the sweep framework.
+"""Custom sensitivity analysis with ``policy_grid``.
 
 The paper fixes disk_time = 1.0 and num_reads = 20; this example asks a
 question the paper doesn't: *how does the value of dynamic allocation
@@ -11,13 +11,14 @@ Also demonstrates CSV export for downstream analysis.
 Run:  python examples/sensitivity_sweep.py
 """
 
+import csv
 import dataclasses
 import tempfile
 
 from repro import paper_defaults
-from repro.experiments import RunSettings, SweepSpec, run_sweep, write_csv
-from repro.experiments.common import TextTable, improvement_pct
-from repro.model.config import QueryClassSpec
+from repro.experiments import RunSettings, policy_grid
+from repro.experiments.report import TextTable, improvement_pct
+from repro.model.config import set_config_parameter
 
 SETTINGS = RunSettings(warmup=1000.0, duration=5000.0, replications=1, base_seed=17)
 
@@ -35,18 +36,16 @@ def main() -> None:
         ["num_reads", "W LOCAL", "W BNQ", "W LERT", "dBNQ%", "dLERT%", "LERT-BNQ gap"],
         title="Query length sensitivity (shorter queries, relatively pricier transfers)",
     )
-    for num_reads in (5.0, 10.0, 20.0, 40.0):
-        spec = SweepSpec(
-            name=f"reads-{num_reads:g}",
-            base=config_with_reads(num_reads),
-            parameter="site.think_time",  # degenerate single-value sweep
-            values=(350.0,),
-            policies=("LOCAL", "BNQ", "LERT"),
-        )
-        result = run_sweep(spec, SETTINGS)
-        local = result.result(350.0, "LOCAL").mean_waiting_time
-        bnq = result.result(350.0, "BNQ").mean_waiting_time
-        lert = result.result(350.0, "LERT").mean_waiting_time
+    reads = (5.0, 10.0, 20.0, 40.0)
+    grid = policy_grid(
+        [config_with_reads(num_reads) for num_reads in reads],
+        ("LOCAL", "BNQ", "LERT"),
+        SETTINGS,
+    )
+    for num_reads, results in zip(reads, grid):
+        local = results["LOCAL"].mean_waiting_time
+        bnq = results["BNQ"].mean_waiting_time
+        lert = results["LERT"].mean_waiting_time
         table.add_row(
             f"{num_reads:g}",
             f"{local:.2f}",
@@ -59,23 +58,32 @@ def main() -> None:
     print(table.render())
     print()
 
-    # A proper one-dimensional sweep with CSV export.
-    spec = SweepSpec(
-        name="msg-length",
-        base=paper_defaults(),
-        parameter="network.msg_length",
-        values=(0.5, 1.0, 2.0),
-        policies=("BNQ", "LERT"),
+    # A one-dimensional sweep of a dotted config path, exported as CSV.
+    lengths = (0.5, 1.0, 2.0)
+    policies = ("BNQ", "LERT")
+    grid = policy_grid(
+        [
+            set_config_parameter(paper_defaults(), "network.msg_length", length)
+            for length in lengths
+        ],
+        policies,
+        SETTINGS,
     )
-    result = run_sweep(spec, SETTINGS)
     with tempfile.NamedTemporaryFile(
-        suffix=".csv", delete=False, mode="w"
+        suffix=".csv", delete=False, mode="w", newline=""
     ) as handle:
-        path = handle.name
-    write_csv(result, path)
-    print(f"msg_length sweep exported to {path}")
-    print("  LERT W series:", [round(w, 2) for w in result.series("LERT")])
-    print("  BNQ  W series:", [round(w, 2) for w in result.series("BNQ")])
+        writer = csv.writer(handle)
+        writer.writerow(["msg_length", "policy", "mean_waiting_time", "completions"])
+        for length, results in zip(lengths, grid):
+            for policy in policies:
+                cell = results[policy]
+                writer.writerow(
+                    [length, policy, f"{cell.mean_waiting_time:.6g}", cell.completions]
+                )
+    print(f"msg_length sweep exported to {handle.name}")
+    for policy in policies:
+        series = [round(results[policy].mean_waiting_time, 2) for results in grid]
+        print(f"  {policy:<4} W series:", series)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from repro.ablation.report import (
     ComponentImportance,
     VariantEffect,
     metric_delta_pct,
+    metric_value,
     rank_components,
     render_study_report,
     variant_effects,
@@ -50,7 +51,6 @@ from repro.ablation.spec import (
 )
 from repro.ablation.study import (
     CellOutcome,
-    MetricSet,
     StudyOutcome,
     run_study,
 )
@@ -68,13 +68,13 @@ __all__ = [
     "StudyCell",
     "StudyGrid",
     "expand",
-    "MetricSet",
     "CellOutcome",
     "StudyOutcome",
     "run_study",
     "VariantEffect",
     "ComponentImportance",
     "metric_delta_pct",
+    "metric_value",
     "variant_effects",
     "rank_components",
     "render_study_report",

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.ablation.spec import Component, StudySpec, Variant
-from repro.experiments.parallel import ReplicationTask
-from repro.experiments.sweep import set_config_parameter
+from repro.experiments.parallel import ReplicationTask, replication_tasks
+from repro.model.config import set_config_parameter
 
 #: Label of the baseline cell (component/variant labels are
 #: ``"<component>:<variant>"``, which cannot collide with this).
@@ -110,20 +110,15 @@ def _cell_tasks(
             faults = variant.faults
         if variant.workload is not None:
             workload = variant.workload
-    settings = spec.settings
+    settings = spec.settings.with_faults(faults).with_workload(workload)
     return tuple(
-        ReplicationTask(
-            config=config,
-            policy=policy,
-            seed=settings.seed_for(replication),
-            warmup=settings.warmup,
-            duration=settings.duration,
+        replication_tasks(
+            config,
+            policy,
+            settings,
             system_kind=system_kind,
             system_kwargs=system_kwargs,
-            faults=faults,
-            workload=workload,
         )
-        for replication in range(settings.replications)
     )
 
 

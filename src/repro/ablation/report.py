@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.ablation.spec import STUDY_METRIC_ATTRIBUTES
 from repro.ablation.study import CellOutcome, StudyOutcome
 from repro.experiments.report import TextTable, improvement_pct
 
@@ -32,6 +33,15 @@ from repro.experiments.report import TextTable, improvement_pct
 _LOWER_IS_BETTER = frozenset(
     {"response_time", "waiting_time", "fairness", "shed_rate"}
 )
+
+
+def metric_value(cell: CellOutcome, metric: str) -> Optional[float]:
+    """One study metric of *cell* by name (see ``STUDY_METRICS``)."""
+    try:
+        attribute = STUDY_METRIC_ATTRIBUTES[metric]
+    except KeyError:
+        raise KeyError(f"unknown study metric {metric!r}") from None
+    return getattr(cell.averaged, attribute)
 
 
 def metric_delta_pct(
@@ -77,7 +87,7 @@ class ComponentImportance:
 def variant_effects(outcome: StudyOutcome) -> Tuple[VariantEffect, ...]:
     """Every variant's effect vs baseline, in spec order."""
     metric = outcome.spec.metric
-    base = outcome.baseline.metrics.value(metric)
+    base = metric_value(outcome.baseline, metric)
     effects: List[VariantEffect] = []
     for cell in outcome.cells:
         assert cell.component is not None and cell.variant is not None
@@ -87,9 +97,7 @@ def variant_effects(outcome: StudyOutcome) -> Tuple[VariantEffect, ...]:
                 variant=cell.variant,
                 label=cell.label,
                 cell=cell,
-                delta_pct=metric_delta_pct(
-                    metric, cell.metrics.value(metric), base
-                ),
+                delta_pct=metric_delta_pct(metric, metric_value(cell, metric), base),
             )
         )
     return tuple(effects)
@@ -133,9 +141,10 @@ def _fmt_delta(delta: Optional[float]) -> str:
 
 
 def _metrics_line(cell: CellOutcome) -> str:
-    m = cell.metrics
+    m = cell.averaged
     return (
-        f"response {m.response_time:.2f}  waiting {m.waiting_time:.2f}  "
+        f"response {m.mean_response_time:.2f}  "
+        f"waiting {m.mean_waiting_time:.2f}  "
         f"fairness {_fmt_optional(m.fairness)}  "
         f"availability {m.availability:.4f}  "
         f"shed {100.0 * m.shed_rate:.2f}%"
@@ -178,24 +187,22 @@ def render_study_report(outcome: StudyOutcome, *, markdown: bool = False) -> str
         ],
         title="Per-variant effects vs baseline (positive d% = better)",
     )
-    base_metrics = outcome.baseline.metrics
+    base = outcome.baseline.averaged
     for effect in variant_effects(outcome):
-        m = effect.cell.metrics
+        m = effect.cell.averaged
         variants.add_row(
             effect.component,
             effect.variant,
-            f"{m.response_time:.2f}",
+            f"{m.mean_response_time:.2f}",
             _fmt_delta(
                 metric_delta_pct(
-                    "response_time",
-                    m.response_time,
-                    base_metrics.response_time,
+                    "response_time", m.mean_response_time, base.mean_response_time
                 )
             ),
-            f"{m.waiting_time:.2f}",
+            f"{m.mean_waiting_time:.2f}",
             _fmt_delta(
                 metric_delta_pct(
-                    "waiting_time", m.waiting_time, base_metrics.waiting_time
+                    "waiting_time", m.mean_waiting_time, base.mean_waiting_time
                 )
             ),
             _fmt_optional(m.fairness),
@@ -229,6 +236,7 @@ __all__ = [
     "VariantEffect",
     "ComponentImportance",
     "metric_delta_pct",
+    "metric_value",
     "variant_effects",
     "rank_components",
     "render_study_report",

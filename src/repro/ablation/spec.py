@@ -8,7 +8,7 @@ A :class:`StudySpec` is a baseline run plus components:
 * :class:`Variant` — one alternative setting of a component, expressed
   as a *delta* against the baseline: an optional policy override,
   optional system-kind override, dotted-path config patches (see
-  :func:`~repro.experiments.sweep.set_config_parameter`), and optional
+  :func:`~repro.model.config.set_config_parameter`), and optional
   fault-plan / workload overrides.
 * :class:`Component` — a named dimension with one or more variants; the
   study runs each variant with every *other* component at baseline
@@ -35,9 +35,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.experiments.parallel import check_system
 from repro.experiments.runconfig import RunSettings
-from repro.experiments.sweep import set_config_parameter
 from repro.faults.plan import FaultPlan
-from repro.model.config import SystemConfig
+from repro.model.config import SystemConfig, set_config_parameter
 from repro.model.serialization import (
     config_from_dict,
     config_to_dict,
@@ -51,14 +50,19 @@ from repro.workloads.spec import WorkloadSpec
 #: Version tag of the serialized study-spec format.
 STUDY_FORMAT_VERSION = 1
 
-#: Metrics a study may rank by (the report shows all of them).
-STUDY_METRICS = (
-    "response_time",
-    "waiting_time",
-    "fairness",
-    "availability",
-    "shed_rate",
-)
+#: Each metric a study may rank by, and the
+#: :class:`~repro.experiments.common.AveragedResults` attribute that holds
+#: it (the report shows all of them).
+STUDY_METRIC_ATTRIBUTES: Dict[str, str] = {
+    "response_time": "mean_response_time",
+    "waiting_time": "mean_waiting_time",
+    "fairness": "fairness",
+    "availability": "availability",
+    "shed_rate": "shed_rate",
+}
+
+#: Metrics a study may rank by.
+STUDY_METRICS = tuple(STUDY_METRIC_ATTRIBUTES)
 
 
 def _freeze(value: Any) -> Any:
@@ -115,7 +119,7 @@ class Variant:
             (ignored unless ``system_kind`` is set).
         config_patches: ``(dotted_path, value)`` pairs applied to the
             baseline config in order (see
-            :func:`~repro.experiments.sweep.set_config_parameter`).
+            :func:`~repro.model.config.set_config_parameter`).
         faults: Optional fault-plan override for this variant's runs.
         workload: Optional workload override for this variant's runs.
     """
@@ -393,6 +397,7 @@ def load_study_spec(path: Union[str, pathlib.Path]) -> StudySpec:
 __all__ = [
     "STUDY_FORMAT_VERSION",
     "STUDY_METRICS",
+    "STUDY_METRIC_ATTRIBUTES",
     "BaselineRun",
     "Variant",
     "Component",

@@ -1,10 +1,11 @@
-"""Study execution: grid in, per-cell metrics out.
+"""Study execution: grid in, per-cell averages out.
 
-:func:`run_study` expands a spec, pushes *all* cells' replication tasks
-through the parallel runner as one batch (so ``--jobs N`` fans the whole
-study out, duplicates are simulated once, and the cache answers
-anything already run), then folds each cell's replications into a
-:class:`MetricSet`.
+:func:`run_study` expands a spec and pushes *all* cells' replication
+tasks through :func:`~repro.experiments.parallel.simulate_many` as one
+batch (so ``--jobs N`` fans the whole study out, duplicates are
+simulated once, and the cache answers anything already run), which
+folds each cell's replications into one
+:class:`~repro.experiments.common.AveragedResults`.
 
 Determinism contract: every aggregate uses :func:`math.fsum` (whose
 correctly rounded result is permutation invariant), and the runner
@@ -15,98 +16,25 @@ serial and parallel execution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.ablation.grid import StudyCell, StudyGrid, expand
+from repro.ablation.grid import StudyGrid, expand
 from repro.ablation.spec import StudySpec
+from repro.experiments.common import AveragedResults
 from repro.experiments.context import StudyContext
-from repro.model.metrics import SystemResults
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    """The study metrics of one cell, averaged over its replications.
-
-    Attributes:
-        response_time: Mean query response time (waiting + service).
-        waiting_time: Mean per-cycle waiting time (the paper's W).
-        fairness: Max/min normalized waiting across classes (``None``
-            when no replication produced a defined fairness).
-        availability: Fraction of offered queries that completed rather
-            than being lost to site failures: ``completions /
-            (completions + queries_lost)``.  1.0 for fault-free runs.
-        shed_rate: Fraction of offered arrivals dropped by admission
-            control: ``shed / offered``.  0.0 for closed-workload runs.
-        subnet_utilization: Mean communication-subnet utilization.
-        completions: Total completed queries across replications.
-    """
-
-    response_time: float
-    waiting_time: float
-    fairness: Optional[float]
-    availability: float
-    shed_rate: float
-    subnet_utilization: float
-    completions: int
-
-    def value(self, metric: str) -> Optional[float]:
-        """One metric by study-metric name (see ``STUDY_METRICS``)."""
-        if metric not in {
-            "response_time",
-            "waiting_time",
-            "fairness",
-            "availability",
-            "shed_rate",
-            "subnet_utilization",
-        }:
-            raise KeyError(f"unknown study metric {metric!r}")
-        return getattr(self, metric)
-
-
-def _avg(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def metrics_from_runs(runs: Sequence[SystemResults]) -> MetricSet:
-    """Fold one cell's replication results into a :class:`MetricSet`."""
-    if not runs:
-        raise ValueError("need at least one replication to aggregate")
-    fairness_values = [r.fairness for r in runs if r.fairness is not None]
-    # Integer totals: int sums are exact, hence permutation invariant.
-    completions = sum(r.completions for r in runs)  # reprolint: disable=RL004
-    lost = sum(  # reprolint: disable=RL004
-        r.availability.queries_lost for r in runs if r.availability is not None
-    )
-    offered = sum(  # reprolint: disable=RL004
-        r.workload.offered for r in runs if r.workload is not None
-    )
-    shed = sum(  # reprolint: disable=RL004
-        r.workload.shed for r in runs if r.workload is not None
-    )
-    attempted = completions + lost
-    return MetricSet(
-        response_time=_avg([r.mean_response_time for r in runs]),
-        waiting_time=_avg([r.mean_waiting_time for r in runs]),
-        fairness=_avg(fairness_values) if fairness_values else None,
-        availability=1.0 if attempted == 0 else completions / attempted,
-        shed_rate=0.0 if offered == 0 else shed / offered,
-        subnet_utilization=_avg([r.subnet_utilization for r in runs]),
-        completions=completions,
-    )
+from repro.experiments.parallel import simulate_many
 
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """One executed cell: identity, run IDs, metrics, raw replications."""
+    """One executed cell: identity, run IDs and replication averages."""
 
     label: str
     component: Optional[str]
     variant: Optional[str]
     run_ids: Tuple[str, ...]
-    metrics: MetricSet
-    per_replication: Tuple[SystemResults, ...]
+    averaged: AveragedResults
 
 
 @dataclass(frozen=True)
@@ -131,32 +59,24 @@ class StudyOutcome:
         return tuple(c for c in self.cells if c.component == component)
 
 
-def _cell_outcome(
-    cell: StudyCell, runs: Sequence[SystemResults]
-) -> CellOutcome:
-    return CellOutcome(
-        label=cell.label,
-        component=cell.component,
-        variant=cell.variant,
-        run_ids=cell.run_ids,
-        metrics=metrics_from_runs(runs),
-        per_replication=tuple(runs),
-    )
-
-
 def run_grid(
     grid: StudyGrid, *, context: StudyContext = StudyContext()
 ) -> StudyOutcome:
     """Execute an already-expanded grid (see :func:`run_study`)."""
-    results = context.run_tasks(grid.all_tasks())
-    outcomes: List[CellOutcome] = []
-    cursor = 0
-    for cell in grid.all_cells():
-        count = len(cell.tasks)
-        outcomes.append(_cell_outcome(cell, results[cursor : cursor + count]))
-        cursor += count
+    cells = grid.all_cells()
+    averaged = simulate_many([cell.tasks for cell in cells], context=context)
+    outcomes = tuple(
+        CellOutcome(
+            label=cell.label,
+            component=cell.component,
+            variant=cell.variant,
+            run_ids=cell.run_ids,
+            averaged=cell_averaged,
+        )
+        for cell, cell_averaged in zip(cells, averaged)
+    )
     return StudyOutcome(
-        spec=grid.spec, baseline=outcomes[0], cells=tuple(outcomes[1:])
+        spec=grid.spec, baseline=outcomes[0], cells=outcomes[1:]
     )
 
 
@@ -174,8 +94,6 @@ def run_study(
 
 
 __all__ = [
-    "MetricSet",
-    "metrics_from_runs",
     "CellOutcome",
     "StudyOutcome",
     "run_grid",

@@ -42,9 +42,8 @@ from repro.experiments.cache import (
 )
 from repro.experiments.common import (
     AveragedResults,
-    TextTable,
     average_results,
-    improvement_pct,
+    policy_grid,
     simulate,
 )
 from repro.experiments.parallel import (
@@ -54,16 +53,11 @@ from repro.experiments.parallel import (
     simulate_many,
 )
 from repro.experiments.report import (
+    TextTable,
     generate_report,
+    improvement_pct,
     report_sections,
     write_report,
-)
-from repro.experiments.sweep import (
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-    set_config_parameter,
-    write_csv,
 )
 from repro.experiments.runconfig import (
     PAPER,
@@ -89,6 +83,7 @@ __all__ = [
     "TextTable",
     "average_results",
     "improvement_pct",
+    "policy_grid",
     "simulate",
     "ResultCache",
     "cache_key",
@@ -103,11 +98,6 @@ __all__ = [
     "PAPER",
     "SCALES",
     "settings_for",
-    "SweepSpec",
-    "SweepResult",
-    "run_sweep",
-    "set_config_parameter",
-    "write_csv",
     "generate_report",
     "report_sections",
     "write_report",

@@ -29,7 +29,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.experiments.common import TextTable, improvement_pct
+from repro.experiments.report import TextTable, improvement_pct
 from repro.experiments.context import StudyContext
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import DISK_PER_DISK, DISK_SHARED
@@ -79,13 +79,13 @@ def stale_info_sweep(
     waits: Dict[float, float] = {
         interval: outcome.cell(
             f"load-information:refresh-{interval:g}"
-        ).metrics.waiting_time
+        ).averaged.mean_waiting_time
         for interval in intervals
     }
     return StaleInfoResult(
         intervals=tuple(intervals),
         waits=waits,
-        w_local=outcome.baseline.metrics.waiting_time,
+        w_local=outcome.baseline.averaged.mean_waiting_time,
     )
 
 
@@ -133,16 +133,16 @@ def disk_organization_study(
     spec = _disk_spec(_single_replication(settings), policies=tuple(policies))
     outcome = run_study(spec, context=context)
     waits: Dict[Tuple[str, str], float] = {
-        (DISK_PER_DISK, policies[0]): outcome.baseline.metrics.waiting_time
+        (DISK_PER_DISK, policies[0]): outcome.baseline.averaged.mean_waiting_time
     }
     for policy in policies[1:]:
         waits[(DISK_PER_DISK, policy)] = outcome.cell(
             f"disk-organization:per_disk-{policy}"
-        ).metrics.waiting_time
+        ).averaged.mean_waiting_time
     for policy in policies:
         waits[(DISK_SHARED, policy)] = outcome.cell(
             f"disk-organization:shared-{policy}"
-        ).metrics.waiting_time
+        ).averaged.mean_waiting_time
     return DiskOrganizationResult(waits=waits)
 
 
@@ -199,9 +199,9 @@ def update_fraction_sweep(
                 cell = outcome.baseline
             else:
                 cell = outcome.cell(f"update-fraction:f{fraction:g}-{policy}")
-            row[policy] = cell.metrics.waiting_time
+            row[policy] = cell.averaged.mean_waiting_time
             if policy == "LERT":
-                subnet[fraction] = cell.metrics.subnet_utilization
+                subnet[fraction] = cell.averaged.subnet_utilization
         rows[fraction] = row
     return UpdateFractionResult(
         fractions=tuple(fractions), rows=rows, subnet=subnet
@@ -262,12 +262,12 @@ def heterogeneity_study(
     )
     outcome = run_study(spec, context=context)
     response_times: Dict[str, float] = {
-        "LOCAL": outcome.baseline.metrics.response_time,
-        "BNQ": outcome.cell("allocation-policy:bnq").metrics.response_time,
-        "LERT": outcome.cell("allocation-policy:lert").metrics.response_time,
+        "LOCAL": outcome.baseline.averaged.mean_response_time,
+        "BNQ": outcome.cell("allocation-policy:bnq").averaged.mean_response_time,
+        "LERT": outcome.cell("allocation-policy:lert").averaged.mean_response_time,
         "LERT-HET": outcome.cell(
             "allocation-policy:lert-het"
-        ).metrics.response_time,
+        ).averaged.mean_response_time,
     }
     return HeterogeneityResult(
         speed_factors=factors, response_times=response_times
@@ -334,9 +334,9 @@ def subnet_scaling_study(
                 )
             lert = outcome.cell(f"subnet-scaling:{subnet}-{num_sites}-LERT")
             improvements[(subnet, num_sites)] = improvement_pct(
-                lert.metrics.waiting_time, local.metrics.waiting_time
+                lert.averaged.mean_waiting_time, local.averaged.mean_waiting_time
             )
-            utilization[(subnet, num_sites)] = lert.metrics.subnet_utilization
+            utilization[(subnet, num_sites)] = lert.averaged.subnet_utilization
     return SubnetScalingResult(
         site_counts=counts,
         improvements=improvements,

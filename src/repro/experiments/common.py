@@ -6,20 +6,22 @@ Provides:
   averaging over replications with common random numbers; ``jobs=`` fans
   replications over a process pool and ``cache=`` reuses cached results
   (see :mod:`repro.experiments.parallel` / :mod:`repro.experiments.cache`);
+* :func:`policy_grid` — the cells of a paper table: every policy on every
+  config, as one batch, one ``{policy: AveragedResults}`` dict per config;
+* :class:`PolicyComparison` — the W̄ comparisons a table row derives
+  from its per-policy results;
 * :func:`average_results` — order-independent replication averaging.
-
-:class:`TextTable` and :func:`improvement_pct` now live in
-:mod:`repro.experiments.report` (the one rendering path for text and
-Markdown output); they are re-exported here for compatibility.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.report import TextTable, improvement_pct
+from repro.experiments.context import StudyContext
+from repro.experiments.parallel import replication_tasks, simulate_many
+from repro.experiments.report import improvement_pct
 from repro.experiments.runconfig import RunSettings
 from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
@@ -52,6 +54,41 @@ class AveragedResults:
                 return float("nan")
             return float("inf")
         return self.disk_utilization / self.cpu_utilization
+
+    @property
+    def availability(self) -> float:
+        """Fraction of attempted queries that completed rather than being
+        lost to site failures: ``completions / (completions + lost)``.
+
+        1.0 for fault-free runs.
+        """
+        # Integer totals: int sums are exact, hence permutation invariant.
+        lost = sum(  # reprolint: disable=RL004
+            run.availability.queries_lost
+            for run in self.per_replication
+            if run.availability is not None
+        )
+        attempted = self.completions + lost
+        return 1.0 if attempted == 0 else self.completions / attempted
+
+    @property
+    def shed_rate(self) -> float:
+        """Fraction of offered arrivals dropped by admission control:
+        ``shed / offered``.
+
+        0.0 for closed-workload runs.
+        """
+        offered = sum(  # reprolint: disable=RL004
+            run.workload.offered
+            for run in self.per_replication
+            if run.workload is not None
+        )
+        shed = sum(  # reprolint: disable=RL004
+            run.workload.shed
+            for run in self.per_replication
+            if run.workload is not None
+        )
+        return 0.0 if offered == 0 else shed / offered
 
 
 def average_results(
@@ -115,19 +152,72 @@ def simulate(
             :func:`~repro.experiments.parallel.progress_reporting`, if any.
             Display only; results are unaffected.
     """
-    # Imported lazily: the execution backend imports this module for
-    # AveragedResults/average_results.
-    from repro.experiments.parallel import simulate_many
+    context = StudyContext(
+        jobs=1 if jobs is None else jobs, cache=cache, progress=progress
+    )
+    (averaged,) = simulate_many(
+        [replication_tasks(config, policy_name, settings)], context=context
+    )
+    return averaged
 
-    return simulate_many(
-        [(config, policy_name)], settings, jobs=jobs, cache=cache, progress=progress
-    )[0]
+
+def policy_grid(
+    configs: Sequence[SystemConfig],
+    policies: Sequence[str],
+    settings: RunSettings,
+    context: StudyContext = StudyContext(),
+) -> List[Dict[str, AveragedResults]]:
+    """Every policy on every config, one ``{policy: results}`` per config.
+
+    All cells run as one batch under *context*, config-major, and policy
+    *p* of every config uses the same seeds (common random numbers).
+    """
+    cells = [
+        replication_tasks(config, policy, settings)
+        for config in configs
+        for policy in policies
+    ]
+    averaged = iter(simulate_many(cells, context=context))
+    # zip stops at the end of *policies* before drawing from *averaged*,
+    # so each dict takes exactly one config's cells.
+    return [dict(zip(policies, averaged)) for _ in configs]
+
+
+class PolicyComparison:
+    """W̄ comparisons of a table row holding ``results: {policy: ...}``.
+
+    A mixin without fields: each row dataclass keeps its own key field
+    (``think_time``, ``mpl``, ...) and its ``results`` dict.
+    """
+
+    results: Dict[str, AveragedResults]
+
+    @property
+    def rho_c(self) -> float:
+        """CPU utilization under LOCAL."""
+        return self.results["LOCAL"].cpu_utilization
+
+    @property
+    def w_local(self) -> float:
+        """Mean waiting time under LOCAL."""
+        return self.results["LOCAL"].mean_waiting_time
+
+    def vs_local(self, policy: str) -> float:
+        """*policy*'s W̄ improvement over LOCAL, in percent."""
+        return improvement_pct(self.results[policy].mean_waiting_time, self.w_local)
+
+    def vs_bnq(self, policy: str) -> float:
+        """*policy*'s W̄ improvement over BNQ, in percent."""
+        return improvement_pct(
+            self.results[policy].mean_waiting_time,
+            self.results["BNQ"].mean_waiting_time,
+        )
 
 
 __all__ = [
     "AveragedResults",
+    "PolicyComparison",
     "average_results",
+    "policy_grid",
     "simulate",
-    "improvement_pct",
-    "TextTable",
 ]

@@ -17,22 +17,21 @@ exactly what the old default kwargs meant.
 
 Typical use::
 
-    from repro.experiments import StudyContext
+    from repro.experiments import StudyContext, table8
     from repro.experiments.cache import ResultCache, default_cache_dir
 
     ctx = StudyContext(jobs=4, cache=ResultCache(default_cache_dir()))
-    result = run_sweep(spec, settings, context=ctx)
+    result = table8.run_experiment(settings, context=ctx)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-if TYPE_CHECKING:  # imported lazily at run time to keep the module a leaf
+if TYPE_CHECKING:  # kept a leaf: the parallel runner imports this module
     from repro.experiments.cache import ResultCache
-    from repro.experiments.parallel import ProgressCallback, ReplicationTask
-    from repro.model.metrics import SystemResults
+    from repro.experiments.parallel import ProgressCallback
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,6 @@ class StudyContext:
     jobs: int = 1
     cache: Optional["ResultCache"] = None
     progress: Optional["ProgressCallback"] = None
-
-    def run_tasks(
-        self, tasks: Sequence["ReplicationTask"]
-    ) -> List["SystemResults"]:
-        """Execute *tasks* under this context (see
-        :func:`repro.experiments.parallel.run_tasks`)."""
-        from repro.experiments.parallel import run_tasks
-
-        return run_tasks(
-            tasks, jobs=self.jobs, cache=self.cache, progress=self.progress
-        )
 
     def with_cache(self, cache: Optional["ResultCache"]) -> "StudyContext":
         """This context writing to (and reading from) *cache*."""

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import AveragedResults, TextTable, average_results
-from repro.experiments.parallel import ReplicationTask, replication_tasks, run_tasks
+from repro.experiments.common import AveragedResults
 from repro.experiments.context import StudyContext
+from repro.experiments.parallel import replication_tasks, simulate_many
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.faults.plan import FaultPlan, RandomOutages
 from repro.model.config import paper_defaults
@@ -114,28 +115,21 @@ def run_experiment(
 ) -> FailureResult:
     """Run the policy × failure-rate grid (parallel and cached)."""
     config = paper_defaults()
-    tasks: List[ReplicationTask] = []
-    spans: List[Tuple[int, int, Optional[float], str]] = []
-    for mtbf in mtbfs:
-        cell_settings = (
-            settings
-            if mtbf is None
-            else settings.with_faults(failure_plan(mtbf))
-        )
-        for policy in POLICIES:
-            start = len(tasks)
-            tasks.extend(replication_tasks(config, policy, cell_settings))
-            spans.append((start, len(tasks), mtbf, policy))
-    runs = run_tasks(
-        tasks, jobs=context.jobs, cache=context.cache, progress=context.progress
+    keys = [(mtbf, policy) for mtbf in mtbfs for policy in POLICIES]
+    averaged = simulate_many(
+        [
+            replication_tasks(
+                config,
+                policy,
+                settings if mtbf is None else settings.with_faults(failure_plan(mtbf)),
+            )
+            for mtbf, policy in keys
+        ],
+        context=context,
     )
     cells = tuple(
-        FailureCell(
-            mtbf=mtbf,
-            policy=policy,
-            averaged=average_results(policy, runs[start:stop]),
-        )
-        for start, stop, mtbf, policy in spans
+        FailureCell(mtbf=mtbf, policy=policy, averaged=cell)
+        for (mtbf, policy), cell in zip(keys, averaged)
     )
     return FailureResult(cells=cells, settings=settings)
 

@@ -10,19 +10,15 @@ two policies' improvement over BNQ at each setting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-)
-from repro.experiments.parallel import simulate_many
+from repro.experiments.common import AveragedResults, PolicyComparison, policy_grid
+from repro.experiments.context import StudyContext
 from repro.experiments.paper_data import (
     MSG_LENGTH2_BNQRD_VS_BNQ,
     MSG_LENGTH2_LERT_VS_BNQ,
 )
-from repro.experiments.context import StudyContext
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 
@@ -31,15 +27,9 @@ POLICIES: Tuple[str, ...] = ("BNQ", "BNQRD", "LERT")
 
 
 @dataclass(frozen=True)
-class MsgSensitivityRow:
+class MsgSensitivityRow(PolicyComparison):
     msg_length: float
     results: Dict[str, AveragedResults]
-
-    def vs_bnq(self, policy: str) -> float:
-        return improvement_pct(
-            self.results[policy].mean_waiting_time,
-            self.results["BNQ"].mean_waiting_time,
-        )
 
     @property
     def lert_advantage(self) -> float:
@@ -64,23 +54,13 @@ def run_experiment(
     *,
     context: StudyContext = StudyContext(),
 ) -> MsgSensitivityResult:
-    pairs = [
-        (paper_defaults(msg_length=msg_length), name)
-        for msg_length in msg_lengths
-        for name in POLICIES
-    ]
-    averaged = iter(simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    ))
-    rows: List[MsgSensitivityRow] = []
-    for msg_length in msg_lengths:
-        results = {name: next(averaged) for name in POLICIES}
-        rows.append(MsgSensitivityRow(msg_length=msg_length, results=results))
-    return MsgSensitivityResult(rows=tuple(rows), settings=settings)
+    configs = [paper_defaults(msg_length=msg_length) for msg_length in msg_lengths]
+    grid = policy_grid(configs, POLICIES, settings, context)
+    rows = tuple(
+        MsgSensitivityRow(msg_length=msg_length, results=results)
+        for msg_length, results in zip(msg_lengths, grid)
+    )
+    return MsgSensitivityResult(rows=rows, settings=settings)
 
 
 def format_table(result: MsgSensitivityResult) -> str:

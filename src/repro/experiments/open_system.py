@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.experiments.common import AveragedResults, TextTable, average_results
-from repro.experiments.parallel import ReplicationTask, replication_tasks, run_tasks
+from repro.experiments.common import AveragedResults
 from repro.experiments.context import StudyContext
+from repro.experiments.parallel import replication_tasks, simulate_many
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 from repro.workloads.arrivals import MMPP, PoissonOpen
@@ -111,8 +112,7 @@ class OpenCell:
 
     @property
     def shed_fraction(self) -> float:
-        offered = self.offered
-        return self.shed / offered if offered > 0 else 0.0
+        return self.averaged.shed_rate
 
 
 @dataclass(frozen=True)
@@ -160,30 +160,26 @@ def run_experiment(
     """Run the policy × arrival process × load-level grid."""
     config = paper_defaults()
     capacity = estimate_site_capacity(config)
-    tasks: List[ReplicationTask] = []
-    spans: List[Tuple[int, int, str, float, str]] = []
-    for kind in kinds:
-        for factor in load_factors:
-            cell_settings = settings.with_workload(
-                workload_for(kind, factor * capacity)
+    keys = [
+        (kind, factor, policy)
+        for kind in kinds
+        for factor in load_factors
+        for policy in POLICIES
+    ]
+    averaged = simulate_many(
+        [
+            replication_tasks(
+                config,
+                policy,
+                settings.with_workload(workload_for(kind, factor * capacity)),
             )
-            for policy in POLICIES:
-                start = len(tasks)
-                tasks.extend(
-                    replication_tasks(config, policy, cell_settings)
-                )
-                spans.append((start, len(tasks), kind, factor, policy))
-    runs = run_tasks(
-        tasks, jobs=context.jobs, cache=context.cache, progress=context.progress
+            for kind, factor, policy in keys
+        ],
+        context=context,
     )
     cells = tuple(
-        OpenCell(
-            kind=kind,
-            load_factor=factor,
-            policy=policy,
-            averaged=average_results(policy, runs[start:stop]),
-        )
-        for start, stop, kind, factor, policy in spans
+        OpenCell(kind=kind, load_factor=factor, policy=policy, averaged=cell)
+        for (kind, factor, policy), cell in zip(keys, averaged)
     )
     return OpenSystemResult(
         cells=cells, settings=settings, site_capacity=capacity

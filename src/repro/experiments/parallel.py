@@ -1,10 +1,11 @@
 """Process-pool execution backend for the experiment harness.
 
-Every simulation cell the harness runs — one ``(config, policy, seed)``
+Every simulation run the harness makes — one ``(config, policy, seed)``
 replication — is a pure, picklable function of its inputs, so the
-per-replication and per-cell work of :func:`~repro.experiments.common.simulate`,
-:func:`~repro.experiments.sweep.run_sweep`, and the table modules can fan
-out across cores with :class:`concurrent.futures.ProcessPoolExecutor` and be
+replications of every experiment (tables, studies and
+:func:`~repro.experiments.common.simulate` alike, all through
+:func:`simulate_many`) can fan out across cores with
+:class:`concurrent.futures.ProcessPoolExecutor` and be
 reassembled deterministically: results are returned *in task order*, never
 completion order, and replication averaging uses :func:`math.fsum` (whose
 correctly-rounded sum is permutation invariant), so output is bit-identical
@@ -20,7 +21,7 @@ Public surface:
 * :class:`ReplicationTask` — picklable spec of one simulation run;
 * :func:`run_task` — execute one task (also the worker entry point);
 * :func:`run_tasks` — execute a batch, optionally parallel and cached;
-* :func:`simulate_many` — the batch analogue of ``common.simulate``;
+* :func:`simulate_many` — run many cells as one batch, one average each;
 * :func:`resolve_jobs` — normalize a ``--jobs`` value to a worker count;
 * :class:`RunProgress` / :func:`progress_reporting` — live progress:
   ``run_tasks`` invokes a callback as each task resolves (from cache or
@@ -36,14 +37,29 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.experiments.cache import ResultCache, cache_key
+from repro.experiments.context import StudyContext
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
 from repro.workloads.spec import WorkloadSpec, normalize_workload
+
+if TYPE_CHECKING:  # common imports this module at run time
+    from repro.experiments.common import AveragedResults
 
 #: Placeholder default of a parameter its kind requires.
 _REQUIRED = object()
@@ -367,33 +383,32 @@ def run_tasks(
 
 
 def simulate_many(
-    pairs: Sequence[Tuple[SystemConfig, str]],
-    settings: RunSettings,
+    cells: Sequence[Sequence[ReplicationTask]],
     *,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressCallback] = None,
-):
-    """Run many (config, policy) cells, averaged over replications each.
+    context: StudyContext = StudyContext(),
+) -> List["AveragedResults"]:
+    """Run many cells as one batch and average each over its replications.
 
-    The batch analogue of :func:`repro.experiments.common.simulate`: all
-    replications of all cells fan out together (maximizing pool
-    utilization), then each cell's runs are reassembled in replication
-    order and averaged.  Returns one
-    :class:`~repro.experiments.common.AveragedResults` per pair, in pair
-    order, bit-identical to calling ``simulate`` serially per pair.
+    Each cell is one task list as :func:`replication_tasks` returns it;
+    its policy is that of its tasks.  All tasks of all cells go through
+    :func:`run_tasks` together (maximizing pool utilization and cache
+    dedup), and each cell's runs come back in replication order.
+    Returns one :class:`~repro.experiments.common.AveragedResults` per
+    cell, in cell order, bit-identical for any ``context.jobs``.
     """
     from repro.experiments.common import average_results
 
-    tasks: List[ReplicationTask] = []
-    spans: List[Tuple[int, int, str]] = []
-    for config, policy in pairs:
-        start = len(tasks)
-        tasks.extend(replication_tasks(config, policy, settings))
-        spans.append((start, len(tasks), policy))
-    runs = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
+    runs = iter(
+        run_tasks(
+            [task for cell in cells for task in cell],
+            jobs=context.jobs,
+            cache=context.cache,
+            progress=context.progress,
+        )
+    )
     return [
-        average_results(policy, runs[start:stop]) for start, stop, policy in spans
+        average_results(cell[0].policy, list(islice(runs, len(cell))))
+        for cell in cells
     ]
 
 

@@ -156,8 +156,8 @@ _EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         name="table8",
-        title="Table 8 — Primary simulation comparison",
-        description="all policies on the paper's base configuration",
+        title="Table 8 — Waiting time versus think time",
+        description="the four policies across think times 150-450",
         runner=_table_runner("table8"),
     ),
     Experiment(
@@ -168,8 +168,8 @@ _EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         name="table10",
-        title="Table 10 — Load sensitivity",
-        description="policy improvements across think times",
+        title="Table 10 — System capacity",
+        description="maximum mpl per response-time bound, LOCAL vs LERT",
         runner=_table_runner("table10"),
     ),
     Experiment(
@@ -186,8 +186,8 @@ _EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         name="msg",
-        title="Message-cost sensitivity",
-        description="policy improvements as message CPU cost grows",
+        title="Message-length sensitivity",
+        description="BNQRD and LERT vs BNQ as the subnet msg_length grows",
         runner=_table_runner("msg_sensitivity"),
     ),
     Experiment(

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.experiments.common import TextTable
-from repro.experiments.parallel import simulate_many
-from repro.experiments.paper_data import TABLE10_CAPACITY
+from repro.experiments.common import policy_grid
 from repro.experiments.context import StudyContext
+from repro.experiments.paper_data import TABLE10_CAPACITY
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 
@@ -61,23 +61,15 @@ def run_experiment(
     *,
     context: StudyContext = StudyContext(),
 ) -> Table10Result:
-    pairs = [
-        (paper_defaults(mpl=mpl), name) for mpl in mpl_grid for name in POLICIES
-    ]
-    averaged = iter(simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    ))
-    curves: Dict[str, List[float]] = {name: [] for name in POLICIES}
-    for _mpl in mpl_grid:
-        for name in POLICIES:
-            curves[name].append(next(averaged).mean_response_time)
+    grid = policy_grid(
+        [paper_defaults(mpl=mpl) for mpl in mpl_grid], POLICIES, settings, context
+    )
     return Table10Result(
         mpl_grid=tuple(mpl_grid),
-        response_curves={k: tuple(v) for k, v in curves.items()},
+        response_curves={
+            name: tuple(results[name].mean_response_time for results in grid)
+            for name in POLICIES
+        },
         settings=settings,
     )
 

@@ -9,16 +9,12 @@ improve placement options but also congest the shared token ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-)
-from repro.experiments.parallel import simulate_many
-from repro.experiments.paper_data import TABLE11_SITES
+from repro.experiments.common import AveragedResults, PolicyComparison, policy_grid
 from repro.experiments.context import StudyContext
+from repro.experiments.paper_data import TABLE11_SITES
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 
@@ -27,16 +23,9 @@ POLICIES: Tuple[str, ...] = ("LOCAL", "BNQ", "LERT")
 
 
 @dataclass(frozen=True)
-class Table11Row:
+class Table11Row(PolicyComparison):
     num_sites: int
     results: Dict[str, AveragedResults]
-
-    @property
-    def w_local(self) -> float:
-        return self.results["LOCAL"].mean_waiting_time
-
-    def vs_local(self, policy: str) -> float:
-        return improvement_pct(self.results[policy].mean_waiting_time, self.w_local)
 
     def subnet_utilization(self, policy: str) -> float:
         return 100.0 * self.results[policy].subnet_utilization
@@ -59,23 +48,13 @@ def run_experiment(
     *,
     context: StudyContext = StudyContext(),
 ) -> Table11Result:
-    pairs = [
-        (paper_defaults(num_sites=num_sites), name)
-        for num_sites in site_counts
-        for name in POLICIES
-    ]
-    averaged = iter(simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    ))
-    rows: List[Table11Row] = []
-    for num_sites in site_counts:
-        results = {name: next(averaged) for name in POLICIES}
-        rows.append(Table11Row(num_sites=num_sites, results=results))
-    return Table11Result(rows=tuple(rows), settings=settings)
+    configs = [paper_defaults(num_sites=num_sites) for num_sites in site_counts]
+    grid = policy_grid(configs, POLICIES, settings, context)
+    rows = tuple(
+        Table11Row(num_sites=num_sites, results=results)
+        for num_sites, results in zip(site_counts, grid)
+    )
+    return Table11Result(rows=rows, settings=settings)
 
 
 def format_table(result: Table11Result) -> str:

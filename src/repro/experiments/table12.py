@@ -14,16 +14,12 @@ system toward favoring one class under LOCAL.  Reproduction targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-)
-from repro.experiments.parallel import simulate_many
-from repro.experiments.paper_data import TABLE12_FAIRNESS
+from repro.experiments.common import AveragedResults, PolicyComparison, policy_grid
 from repro.experiments.context import StudyContext
+from repro.experiments.paper_data import TABLE12_FAIRNESS
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 
@@ -32,13 +28,9 @@ POLICIES: Tuple[str, ...] = ("LOCAL", "BNQ", "LERT")
 
 
 @dataclass(frozen=True)
-class Table12Row:
+class Table12Row(PolicyComparison):
     class_io_prob: float
     results: Dict[str, AveragedResults]
-
-    @property
-    def w_local(self) -> float:
-        return self.results["LOCAL"].mean_waiting_time
 
     @property
     def f_local(self) -> float:
@@ -47,9 +39,6 @@ class Table12Row:
     @property
     def rho_ratio(self) -> float:
         return self.results["LOCAL"].rho_ratio
-
-    def vs_local(self, policy: str) -> float:
-        return improvement_pct(self.results[policy].mean_waiting_time, self.w_local)
 
     def fairness_improvement(self, policy: str) -> float:
         """ΔF_X,LOCAL / F_LOCAL in percent, on |F| (shrinking is positive)."""
@@ -77,23 +66,13 @@ def run_experiment(
     *,
     context: StudyContext = StudyContext(),
 ) -> Table12Result:
-    pairs = [
-        (paper_defaults(class_io_prob=prob), name)
-        for prob in io_probs
-        for name in POLICIES
-    ]
-    averaged = iter(simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    ))
-    rows: List[Table12Row] = []
-    for prob in io_probs:
-        results = {name: next(averaged) for name in POLICIES}
-        rows.append(Table12Row(class_io_prob=prob, results=results))
-    return Table12Result(rows=tuple(rows), settings=settings)
+    configs = [paper_defaults(class_io_prob=prob) for prob in io_probs]
+    grid = policy_grid(configs, POLICIES, settings, context)
+    rows = tuple(
+        Table12Row(class_io_prob=prob, results=results)
+        for prob, results in zip(io_probs, grid)
+    )
+    return Table12Result(rows=rows, settings=settings)
 
 
 def format_table(result: Table12Result) -> str:

@@ -18,7 +18,7 @@ from repro.analysis.improvement import (
     ImprovementCell,
     improvement_grid,
 )
-from repro.experiments.common import TextTable
+from repro.experiments.report import TextTable
 from repro.experiments.paper_data import TABLE5_WIF
 
 

@@ -12,16 +12,12 @@ think-time range 150–450 and reports, per think time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-)
-from repro.experiments.parallel import simulate_many
-from repro.experiments.paper_data import TABLE8_THINK
+from repro.experiments.common import AveragedResults, PolicyComparison, policy_grid
 from repro.experiments.context import StudyContext
+from repro.experiments.paper_data import TABLE8_THINK
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 
@@ -30,30 +26,11 @@ POLICIES: Tuple[str, ...] = ("LOCAL", "BNQ", "BNQRD", "LERT")
 
 
 @dataclass(frozen=True)
-class Table8Row:
+class Table8Row(PolicyComparison):
     """One think-time row: results per policy plus derived improvements."""
 
     think_time: float
     results: Dict[str, AveragedResults]
-
-    @property
-    def rho_c(self) -> float:
-        return self.results["LOCAL"].cpu_utilization
-
-    @property
-    def w_local(self) -> float:
-        return self.results["LOCAL"].mean_waiting_time
-
-    def vs_local(self, policy: str) -> float:
-        return improvement_pct(
-            self.results[policy].mean_waiting_time, self.w_local
-        )
-
-    def vs_bnq(self, policy: str) -> float:
-        return improvement_pct(
-            self.results[policy].mean_waiting_time,
-            self.results["BNQ"].mean_waiting_time,
-        )
 
 
 @dataclass(frozen=True)
@@ -73,23 +50,13 @@ def run_experiment(
     All cells fan out together when ``jobs > 1``; reassembly is
     deterministic, so the result is identical to a serial run.
     """
-    pairs = [
-        (paper_defaults(think_time=think_time), name)
-        for think_time in think_times
-        for name in POLICIES
-    ]
-    averaged = iter(simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    ))
-    rows: List[Table8Row] = []
-    for think_time in think_times:
-        results = {name: next(averaged) for name in POLICIES}
-        rows.append(Table8Row(think_time=think_time, results=results))
-    return Table8Result(rows=tuple(rows), settings=settings)
+    configs = [paper_defaults(think_time=think_time) for think_time in think_times]
+    grid = policy_grid(configs, POLICIES, settings, context)
+    rows = tuple(
+        Table8Row(think_time=think_time, results=results)
+        for think_time, results in zip(think_times, grid)
+    )
+    return Table8Result(rows=rows, settings=settings)
 
 
 def format_table(result: Table8Result) -> str:

@@ -7,16 +7,12 @@ number of terminals per site (mpl 15–35) at the default think time 350.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-)
-from repro.experiments.parallel import simulate_many
-from repro.experiments.paper_data import TABLE9_MPL
+from repro.experiments.common import AveragedResults, PolicyComparison, policy_grid
 from repro.experiments.context import StudyContext
+from repro.experiments.paper_data import TABLE9_MPL
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import STANDARD, RunSettings
 from repro.model.config import paper_defaults
 
@@ -25,26 +21,9 @@ POLICIES: Tuple[str, ...] = ("LOCAL", "BNQ", "BNQRD", "LERT")
 
 
 @dataclass(frozen=True)
-class Table9Row:
+class Table9Row(PolicyComparison):
     mpl: int
     results: Dict[str, AveragedResults]
-
-    @property
-    def rho_c(self) -> float:
-        return self.results["LOCAL"].cpu_utilization
-
-    @property
-    def w_local(self) -> float:
-        return self.results["LOCAL"].mean_waiting_time
-
-    def vs_local(self, policy: str) -> float:
-        return improvement_pct(self.results[policy].mean_waiting_time, self.w_local)
-
-    def vs_bnq(self, policy: str) -> float:
-        return improvement_pct(
-            self.results[policy].mean_waiting_time,
-            self.results["BNQ"].mean_waiting_time,
-        )
 
 
 @dataclass(frozen=True)
@@ -59,21 +38,13 @@ def run_experiment(
     *,
     context: StudyContext = StudyContext(),
 ) -> Table9Result:
-    pairs = [
-        (paper_defaults(mpl=mpl), name) for mpl in mpl_values for name in POLICIES
-    ]
-    averaged = iter(simulate_many(
-        pairs,
-        settings,
-        jobs=context.jobs,
-        cache=context.cache,
-        progress=context.progress,
-    ))
-    rows: List[Table9Row] = []
-    for mpl in mpl_values:
-        results = {name: next(averaged) for name in POLICIES}
-        rows.append(Table9Row(mpl=mpl, results=results))
-    return Table9Result(rows=tuple(rows), settings=settings)
+    configs = [paper_defaults(mpl=mpl) for mpl in mpl_values]
+    grid = policy_grid(configs, POLICIES, settings, context)
+    rows = tuple(
+        Table9Row(mpl=mpl, results=results)
+        for mpl, results in zip(mpl_values, grid)
+    )
+    return Table9Result(rows=rows, settings=settings)
 
 
 def format_table(result: Table9Result) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.common import TextTable
+from repro.experiments.report import TextTable
 from repro.experiments.runconfig import RunSettings, STANDARD
 from repro.queueing.amva import solve_amva
 from repro.queueing.bounds import asymptotic_bounds

@@ -11,14 +11,15 @@ The dataclasses here mirror the paper's parameter tables:
   :func:`paper_defaults`.
 
 Everything is frozen so a config can be shared between replications without
-aliasing bugs; use :func:`dataclasses.replace` to derive variants.
+aliasing bugs; use :func:`dataclasses.replace` or :func:`set_config_parameter`
+to derive variants.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 
 class ConfigError(ValueError):
@@ -256,6 +257,36 @@ def paper_defaults(
     )
 
 
+def set_config_parameter(
+    config: SystemConfig, dotted_path: str, value: Any
+) -> SystemConfig:
+    """Return a copy of *config* with the dotted-path field replaced.
+
+    Supports one level of nesting (``section.field``) over the frozen
+    dataclass structure; top-level fields use the bare name
+    (``"num_sites"``, ``"site.mpl"``, ``"network.msg_length"``, ...).
+    """
+    parts = dotted_path.split(".")
+    if len(parts) == 1:
+        field = parts[0]
+        if field not in {f.name for f in dataclasses.fields(config)}:
+            raise KeyError(f"SystemConfig has no field {field!r}")
+        return dataclasses.replace(config, **{field: value})
+    if len(parts) == 2:
+        section_name, field = parts
+        if section_name not in {f.name for f in dataclasses.fields(config)}:
+            raise KeyError(f"SystemConfig has no section {section_name!r}")
+        section = getattr(config, section_name)
+        if not dataclasses.is_dataclass(section):
+            raise KeyError(f"{section_name!r} is not a nested config section")
+        if field not in {f.name for f in dataclasses.fields(section)}:
+            raise KeyError(f"{section_name} has no field {field!r}")
+        return dataclasses.replace(
+            config, **{section_name: dataclasses.replace(section, **{field: value})}
+        )
+    raise KeyError(f"unsupported parameter path {dotted_path!r}")
+
+
 __all__ = [
     "ConfigError",
     "QueryClassSpec",
@@ -266,4 +297,5 @@ __all__ = [
     "DISK_SHARED",
     "paper_classes",
     "paper_defaults",
+    "set_config_parameter",
 ]

@@ -620,20 +620,6 @@ def results_from_dict(data: Dict[str, Any]) -> SystemResults:
     waiting_ci: Optional[IntervalEstimate] = (
         None if ci_data is None else interval_from_dict(ci_data)
     )
-    # Absent in pre-telemetry entries: .get keeps old archives loadable.
-    telemetry_data = data.get("telemetry")
-    telemetry = (
-        None
-        if telemetry_data is None
-        else tuple((str(name), float(value)) for name, value in telemetry_data)
-    )
-    # Absent in pre-faults entries: .get keeps old archives loadable.
-    availability_data = data.get("availability")
-    availability = (
-        None
-        if availability_data is None
-        else availability_from_dict(availability_data)
-    )
     # Absent in closed-run entries: .get keeps every archive loadable.
     workload_data = data.get("workload")
     workload = (
@@ -654,6 +640,8 @@ def results_from_dict(data: Dict[str, Any]) -> SystemResults:
         None if spans_data is None else span_summary_from_dict(spans_data)
     )
     try:
+        telemetry_data = data["telemetry"]
+        availability_data = data["availability"]
         return SystemResults(
             policy=data["policy"],
             mean_waiting_time=data["mean_waiting_time"],
@@ -668,8 +656,16 @@ def results_from_dict(data: Dict[str, Any]) -> SystemResults:
             remote_fraction=data["remote_fraction"],
             measured_time=data["measured_time"],
             waiting_ci=waiting_ci,
-            telemetry=telemetry,
-            availability=availability,
+            telemetry=(
+                None
+                if telemetry_data is None
+                else tuple((str(name), float(value)) for name, value in telemetry_data)
+            ),
+            availability=(
+                None
+                if availability_data is None
+                else availability_from_dict(availability_data)
+            ),
             workload=workload,
             decisions=decisions,
             spans=spans,

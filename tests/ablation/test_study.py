@@ -7,13 +7,14 @@ from repro.ablation import (
     build_study,
     expand,
     metric_delta_pct,
+    metric_value,
     rank_components,
     render_study_report,
     run_study,
     variant_effects,
 )
-from repro.ablation.study import metrics_from_runs
 from repro.experiments.cache import ResultCache
+from repro.experiments.common import average_results
 from repro.experiments.context import StudyContext
 
 
@@ -31,7 +32,7 @@ class TestRunStudy:
             c.label for c in grid.cells
         ]
         for cell in (smoke_outcome.baseline,) + smoke_outcome.cells:
-            assert len(cell.per_replication) == len(cell.run_ids)
+            assert len(cell.averaged.per_replication) == len(cell.run_ids)
 
     def test_serial_vs_jobs2_byte_identity(self, smoke_outcome):
         """The acceptance contract, on a study with fault and open-workload
@@ -60,13 +61,13 @@ class TestRunStudy:
     def test_fault_cell_loses_availability(self, smoke_outcome):
         """The outage cell must actually exercise the fault path."""
         faulted = smoke_outcome.cell("faults:site-outage")
-        assert faulted.metrics.availability <= 1.0
-        assert smoke_outcome.baseline.metrics.availability == 1.0
+        assert faulted.averaged.availability <= 1.0
+        assert smoke_outcome.baseline.averaged.availability == 1.0
 
     def test_open_workload_cell_reports_shed_rate(self, smoke_outcome):
         open_cell = smoke_outcome.cell("workload:open-poisson")
-        assert 0.0 <= open_cell.metrics.shed_rate <= 1.0
-        assert smoke_outcome.baseline.metrics.shed_rate == 0.0
+        assert 0.0 <= open_cell.averaged.shed_rate <= 1.0
+        assert smoke_outcome.baseline.averaged.shed_rate == 0.0
 
     def test_unknown_cell_lookup(self, smoke_outcome):
         with pytest.raises(KeyError):
@@ -74,20 +75,41 @@ class TestRunStudy:
 
 
 class TestMetricsFromRuns:
+    """Folding a cell's runs into its metrics: ``average_results`` and the
+    study-metric names ``metric_value`` maps onto its attributes."""
+
     def test_requires_runs(self):
         with pytest.raises(ValueError):
-            metrics_from_runs([])
+            average_results("LERT", [])
 
     def test_single_run_passthrough(self, smoke_outcome):
-        run = smoke_outcome.baseline.per_replication[0]
-        metrics = metrics_from_runs([run])
-        assert metrics.response_time == run.mean_response_time
-        assert metrics.waiting_time == run.mean_waiting_time
-        assert metrics.completions == run.completions
+        cell = smoke_outcome.cell("workload:open-poisson")
+        run = cell.averaged.per_replication[0]
+        averaged = average_results(run.policy, [run])
+        assert averaged.mean_response_time == run.mean_response_time
+        assert averaged.mean_waiting_time == run.mean_waiting_time
+        assert averaged.completions == run.completions
+        assert averaged.shed_rate == run.workload.shed / run.workload.offered
+
+    def test_availability_counts_lost_queries(self, smoke_outcome):
+        cell = smoke_outcome.cell("faults:site-outage")
+        runs = cell.averaged.per_replication
+        lost = sum(run.availability.queries_lost for run in runs)
+        completions = cell.averaged.completions
+        assert cell.averaged.availability == completions / (completions + lost)
+
+    def test_metric_names_map_to_averages(self, smoke_outcome):
+        baseline = smoke_outcome.baseline
+        assert metric_value(baseline, "response_time") == (
+            baseline.averaged.mean_response_time
+        )
+        assert metric_value(baseline, "waiting_time") == (
+            baseline.averaged.mean_waiting_time
+        )
 
     def test_unknown_metric_name(self, smoke_outcome):
         with pytest.raises(KeyError):
-            smoke_outcome.baseline.metrics.value("latency")
+            metric_value(smoke_outcome.baseline, "latency")
 
 
 class TestDeltas:

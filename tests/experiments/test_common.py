@@ -1,15 +1,12 @@
 """Unit tests for the shared experiment machinery."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.experiments.common import (
-    AveragedResults,
-    TextTable,
-    improvement_pct,
-    simulate,
-)
+from repro.experiments.common import AveragedResults, policy_grid, simulate
+from repro.experiments.report import TextTable, improvement_pct
 from repro.experiments.runconfig import RunSettings
 
 
@@ -70,6 +67,24 @@ class TestSimulate:
         assert result.rho_ratio == pytest.approx(
             result.disk_utilization / result.cpu_utilization
         )
+
+
+class TestPolicyGrid:
+    SETTINGS = RunSettings(warmup=100.0, duration=400.0, replications=1, base_seed=3)
+
+    def test_one_dict_per_config_in_order(self, tiny_config):
+        configs = [tiny_config, dataclasses.replace(tiny_config, num_sites=2)]
+        grid = policy_grid(configs, ("LOCAL", "BNQ"), self.SETTINGS)
+        assert len(grid) == 2
+        for results in grid:
+            assert list(results) == ["LOCAL", "BNQ"]
+            assert all(cell.policy == name for name, cell in results.items())
+        assert grid[1]["BNQ"] == simulate(configs[1], "BNQ", self.SETTINGS)
+
+    def test_closed_fault_free_cells_have_full_availability(self, tiny_config):
+        (results,) = policy_grid([tiny_config], ("LOCAL",), self.SETTINGS)
+        assert results["LOCAL"].availability == 1.0
+        assert results["LOCAL"].shed_rate == 0.0
 
 
 def _averaged_with_utilizations(cpu: float, disk: float) -> AveragedResults:

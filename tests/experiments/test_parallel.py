@@ -21,7 +21,7 @@ from repro.experiments import (
     table11,
     table12,
 )
-from repro.experiments.common import average_results, simulate
+from repro.experiments.common import average_results, policy_grid, simulate
 from repro.experiments.context import StudyContext
 from repro.experiments.parallel import (
     ReplicationTask,
@@ -32,7 +32,6 @@ from repro.experiments.parallel import (
     simulate_many,
 )
 from repro.experiments.runconfig import QUICK, RunSettings
-from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.model.config import paper_defaults
 
 #: Short but real runs: full paper-defaults systems, reduced horizons.
@@ -92,8 +91,11 @@ class TestSimulateEquivalence:
         assert serial == parallel  # exact dataclass equality, incl. CIs
 
     def test_simulate_many_matches_individual_simulate(self, tiny_config):
-        pairs = [(tiny_config, "LOCAL"), (tiny_config, "BNQ")]
-        batch = simulate_many(pairs, SMALL, jobs=4)
+        cells = [
+            replication_tasks(tiny_config, "LOCAL", SMALL),
+            replication_tasks(tiny_config, "BNQ", SMALL),
+        ]
+        batch = simulate_many(cells, context=JOBS4)
         assert batch[0] == simulate(tiny_config, "LOCAL", SMALL)
         assert batch[1] == simulate(tiny_config, "BNQ", SMALL)
 
@@ -173,19 +175,14 @@ class TestTableEquivalence:
         assert serial == parallel
 
 
-class TestSweepEquivalence:
-    def test_run_sweep_jobs_identical(self):
-        spec = SweepSpec(
-            name="mpl",
-            base=paper_defaults(num_sites=3, mpl=4, think_time=50.0),
-            parameter="site.mpl",
-            values=(3, 5),
-            policies=("LOCAL", "BNQ"),
-        )
-        serial = run_sweep(spec, SMALL)
-        parallel = run_sweep(spec, SMALL, context=JOBS4)
-        assert serial.cells == parallel.cells
-        assert serial.series("LOCAL") == parallel.series("LOCAL")
+class TestPolicyGridEquivalence:
+    def test_policy_grid_jobs_identical(self):
+        configs = [
+            paper_defaults(num_sites=3, mpl=mpl, think_time=50.0) for mpl in (3, 5)
+        ]
+        serial = policy_grid(configs, ("LOCAL", "BNQ"), SMALL)
+        parallel = policy_grid(configs, ("LOCAL", "BNQ"), SMALL, JOBS4)
+        assert serial == parallel
 
 
 class TestAblationEquivalence:

@@ -1,20 +1,9 @@
-"""Unit tests for the generic sweep framework."""
-
-import csv
+"""Unit tests for set_config_parameter, the dotted-path edit that builds
+each config of a sweep (see ``policy_grid``)."""
 
 import pytest
 
-from repro.experiments.runconfig import RunSettings
-from repro.experiments.sweep import (
-    CSV_COLUMNS,
-    SweepSpec,
-    run_sweep,
-    set_config_parameter,
-    write_csv,
-)
-from repro.model.config import paper_defaults
-
-TINY = RunSettings(warmup=200.0, duration=800.0, replications=1, base_seed=7)
+from repro.model.config import paper_defaults, set_config_parameter
 
 
 class TestSetConfigParameter:
@@ -53,61 +42,3 @@ class TestSetConfigParameter:
     def test_validation_still_applies(self):
         with pytest.raises(Exception):
             set_config_parameter(paper_defaults(), "site.mpl", 0)
-
-
-class TestSweepSpec:
-    def test_fails_fast_on_bad_parameter(self):
-        with pytest.raises(KeyError):
-            SweepSpec(
-                name="x",
-                base=paper_defaults(),
-                parameter="site.bogus",
-                values=(1,),
-            )
-
-    def test_requires_values_and_policies(self):
-        with pytest.raises(ValueError):
-            SweepSpec("x", paper_defaults(), "site.mpl", values=())
-        with pytest.raises(ValueError):
-            SweepSpec(
-                "x", paper_defaults(), "site.mpl", values=(10,), policies=()
-            )
-
-
-class TestRunSweep:
-    @pytest.fixture(scope="class")
-    def small_sweep(self, tmp_path_factory):
-        spec = SweepSpec(
-            name="think-sweep",
-            base=paper_defaults(num_sites=3, mpl=4, think_time=50.0),
-            parameter="site.think_time",
-            values=(40.0, 80.0),
-            policies=("LOCAL", "BNQ"),
-        )
-        return run_sweep(spec, TINY)
-
-    def test_all_cells_present(self, small_sweep):
-        assert len(small_sweep.cells) == 4
-        for value in (40.0, 80.0):
-            for policy in ("LOCAL", "BNQ"):
-                assert small_sweep.result(value, policy).completions > 0
-
-    def test_series_ordering(self, small_sweep):
-        series = small_sweep.series("LOCAL")
-        assert len(series) == 2
-        # Longer think time -> lighter load -> less waiting.
-        assert series[1] < series[0]
-
-    def test_csv_export(self, small_sweep, tmp_path):
-        path = tmp_path / "sweep.csv"
-        write_csv(small_sweep, path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == list(CSV_COLUMNS)
-        assert len(rows) == 1 + 4
-        policies = {row[3] for row in rows[1:]}
-        assert policies == {"LOCAL", "BNQ"}
-        # Numeric columns parse as floats.
-        for row in rows[1:]:
-            float(row[4])
-            float(row[5])

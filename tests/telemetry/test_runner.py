@@ -91,18 +91,20 @@ class TestResultsSerialization:
         assert restored == report.results
         assert restored.telemetry == report.results.telemetry
 
-    def test_pre_telemetry_records_still_load(self, tiny_config):
+    def test_pre_telemetry_records_are_rejected(self, tiny_config):
+        from repro.model.config import ConfigError
         from repro.model.serialization import results_from_dict, results_to_dict
 
         bare = run(
             tiny_config, "LOCAL", RunSpec(warmup=10.0, duration=50.0)
         ).results
-        payload = results_to_dict(bare)
-        # Entries written before the telemetry field existed have no key.
-        payload.pop("telemetry")
-        restored = results_from_dict(payload)
-        assert restored == bare
-        assert restored.telemetry is None
+        # Records written before the telemetry or faults field existed
+        # lack its key; results_to_dict always writes both.
+        for key in ("telemetry", "availability"):
+            payload = results_to_dict(bare)
+            payload.pop(key)
+            with pytest.raises(ConfigError, match=key):
+                results_from_dict(payload)
 
 
 class TestRunReportExports:
