@@ -138,7 +138,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "6.0.0"
+__version__ = "6.1.0"
 
 __all__ = [
     "DistributedDatabase",

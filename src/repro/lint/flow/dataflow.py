@@ -3,7 +3,8 @@
 The RNG-stream discipline behind every replay guarantee in this repo is:
 
 * streams are *fetched* from the registry by name —
-  ``sim.rng.stream("think.s0.t1")`` or ``view.rng("policy.sq")``;
+  ``sim.rng.stream("think.s0.t1")``, ``sim.rng.once("query.s0.t1.n4")``
+  or ``view.rng("policy.sq")``;
 * each named stream has exactly **one owning call path** that draws from
   it, so adding or removing draws in one activity can never perturb
   another;
@@ -51,6 +52,10 @@ DRAW_METHODS: FrozenSet[str] = frozenset(
     }
 )
 
+#: Registry methods that fetch a named stream: the cached ``stream``,
+#: the uncached ``once`` and the view's ``rng``.
+FETCH_METHODS: FrozenSet[str] = frozenset({"stream", "once", "rng"})
+
 #: Parameter names conventionally carrying a stream object; draw-method
 #: calls on these count as draws even without a visible fetch.
 STREAM_PARAM_NAMES: FrozenSet[str] = frozenset({"rng", "stream", "random_stream"})
@@ -58,7 +63,7 @@ STREAM_PARAM_NAMES: FrozenSet[str] = frozenset({"rng", "stream", "random_stream"
 
 @dataclass
 class StreamFetch:
-    """One registry fetch: ``...stream("name")`` or ``view.rng("name")``."""
+    """One registry fetch: ``.stream(name)``, ``.once(name)`` or ``.rng(name)``."""
 
     #: The stream name — exact for constants, a ``{}``-pattern for
     #: f-strings (``"faults.outage{}.s{}"``), ``None`` when dynamic.
@@ -100,16 +105,14 @@ def _fetch_name(node: ast.Call) -> Tuple[Optional[str], bool]:
 def _is_fetch_call(node: ast.Call) -> bool:
     """Whether *node* looks like a registry fetch.
 
-    ``<anything>.stream(<one arg>)`` and ``<anything>.rng(<one arg>)``
-    both count; the flow rules scope out modules where these spellings
-    mean something else.
+    ``<anything>.stream(<one arg>)``, ``<anything>.once(<one arg>)`` and
+    ``<anything>.rng(<one arg>)`` all count; the flow rules scope out
+    modules where these spellings mean something else.
     """
     func = node.func
     if not isinstance(func, ast.Attribute):
         return False
-    if func.attr == "stream" and len(node.args) == 1:
-        return True
-    return func.attr == "rng" and len(node.args) == 1
+    return func.attr in FETCH_METHODS and len(node.args) == 1
 
 
 @dataclass

@@ -224,7 +224,7 @@ class PurityAnalysis:
         summary = self.summaries[qualname]
         changed = False
         for site in self.graph.sites.get(qualname, ()):
-            # Registry stream fetches (``.stream(name)`` / ``.rng(name)``)
+            # Registry stream fetches (``.stream``/``.once``/``.rng(name)``)
             # are read-only by contract; the registry's internal cache
             # insert must not surface as a mutation of the fetch chain.
             if _is_fetch_call(site.node):

@@ -378,7 +378,7 @@ class DistributedDatabase:
         outside the common-random-numbers contract.
         """
         site = self.sites[site_index]
-        rng = self.sim.rng.stream(f"apply.s{site_index}.u{update_id}")
+        rng = self.sim.rng.once(f"apply.s{site_index}.u{update_id}")
         for _ in range(self.update_pages):
             yield site.disk_service(self.workload.disk_time(rng), rng)
             cpu_time = rng.expovariate(1.0 / self.apply_cpu_time) / site.cpu_speed

@@ -67,7 +67,7 @@ class WorkloadGenerator:
         bursts, disk times, disk selection), keeping realized demands
         policy-independent.
         """
-        query_rng = self.sim.rng.stream(
+        query_rng = self.sim.rng.once(
             f"query.s{home_site}.t{terminal_id}.n{serial}"
         )
         return self._build_query(home_site, query_rng), query_rng
@@ -83,7 +83,7 @@ class WorkloadGenerator:
         arrivals have no terminal, and serials count *offered* arrivals
         (shed included) so the stream never depends on admission limits.
         """
-        query_rng = self.sim.rng.stream(f"query.s{home_site}.open.n{serial}")
+        query_rng = self.sim.rng.once(f"query.s{home_site}.open.n{serial}")
         return self._build_query(home_site, query_rng), query_rng
 
     def _build_query(self, home_site: int, query_rng: random.Random) -> Query:

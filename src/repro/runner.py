@@ -175,13 +175,11 @@ class RunReport:
 
     def write_spans(self, path: PathLike) -> Path:
         """Export the spans as Chrome trace-event JSON (Perfetto-loadable)."""
-        write_spans_chrome(self.spans, path)
-        return Path(path)
+        return write_spans_chrome(self.spans, path)
 
     def write_decisions(self, path: PathLike) -> Path:
         """Export the decision audit as canonical JSONL."""
-        write_decisions_jsonl(self.decisions, path)
-        return Path(path)
+        return write_decisions_jsonl(self.decisions, path)
 
 
 def execute(system: DistributedDatabase, spec: RunSpec) -> RunReport:

@@ -11,7 +11,8 @@ which event popped out of order — instead of the downstream symptom
 Instrumentation is a context manager that patches, class-level and
 reversibly:
 
-* :meth:`repro.sim.rng.RandomStreams.stream` — every fetched stream is
+* :meth:`repro.sim.rng.RandomStreams.stream` and
+  :meth:`~repro.sim.rng.RandomStreams.once` — every fetched stream is
   wrapped in a recording proxy, so each draw logs
   ``(stream name, method, value)``.  ``spawn``-ed child families are
   covered automatically (the patch is on the class).
@@ -153,6 +154,7 @@ def capture_trace() -> Iterator[DeterminismTrace]:
     proxies: Dict[int, _RecordingStream] = {}
 
     original_stream = RandomStreams.stream
+    original_once = RandomStreams.once
 
     def recording_stream(self: RandomStreams, name: str) -> Any:
         underlying = original_stream(self, name)
@@ -161,6 +163,12 @@ def capture_trace() -> Iterator[DeterminismTrace]:
             proxy = _RecordingStream(name, underlying, trace)
             proxies[id(underlying)] = proxy
         return proxy
+
+    def recording_once(self: RandomStreams, name: str) -> Any:
+        # Never through ``proxies``: one-shot streams are freed after use
+        # and their ids reused, so an id-keyed lookup would hand a new
+        # stream the proxy of a dead one.
+        return _RecordingStream(name, original_once(self, name), trace)
 
     def wrap_pop(
         original: Callable[..., Optional[Event]],
@@ -175,10 +183,12 @@ def capture_trace() -> Iterator[DeterminismTrace]:
 
     patches: List[Tuple[type, str, Any]] = [
         (RandomStreams, "stream", RandomStreams.stream),
+        (RandomStreams, "once", RandomStreams.once),
         (EventQueue, "pop", EventQueue.pop),
         (EventQueue, "pop_due", EventQueue.pop_due),
     ]
     setattr(RandomStreams, "stream", recording_stream)
+    setattr(RandomStreams, "once", recording_once)
     setattr(EventQueue, "pop", wrap_pop(EventQueue.pop))
     setattr(EventQueue, "pop_due", wrap_pop(EventQueue.pop_due))
     try:

@@ -42,7 +42,20 @@ def _derive_seed(master_seed: int, name: str) -> int:
 
 
 class RandomStreams:
-    """A family of independent named random streams under one master seed."""
+    """A family of independent named random streams under one master seed.
+
+    Two ways to fetch a named stream, both seeded by the same derivation
+    (so a name gives the same sequence either way):
+
+    * :meth:`stream` caches the generator, so every fetch of a name
+      continues one sequence.  Use it for long-lived activities that
+      draw over the whole run (think times, policy choices, faults).
+    * :meth:`once` returns a fresh generator that the family does not
+      keep.  Use it for a name fetched exactly once whose generator the
+      caller holds for as long as it draws — one query's demands, one
+      update's apply — so a run does not keep a dead generator for every
+      query it has ever issued, and memory does not grow with run length.
+    """
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = master_seed
@@ -60,6 +73,20 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
+    def once(self, name: str) -> random.Random:
+        """Return a new, uncached generator for *name*.
+
+        Same seed as ``stream(name)`` would get, but nothing is kept: a
+        second call starts the sequence over.  Fetch each one-shot name
+        once and hold the generator while drawing.
+        """
+        return random.Random(_derive_seed(self.master_seed, name))
+
+    @property
+    def cached_names(self) -> Tuple[str, ...]:
+        """Names of the streams :meth:`stream` has cached, sorted."""
+        return tuple(sorted(self._streams))
+
     def spawn(self, name: str) -> "RandomStreams":
         """Create a child family whose master seed is derived from *name*.
 
@@ -69,7 +96,7 @@ class RandomStreams:
         return RandomStreams(_derive_seed(self.master_seed, f"spawn:{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RandomStreams seed={self.master_seed} streams={sorted(self._streams)}>"
+        return f"<RandomStreams seed={self.master_seed} streams={list(self.cached_names)}>"
 
 
 class Distribution:

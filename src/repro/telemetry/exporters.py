@@ -13,9 +13,13 @@ Two properties drive the formats:
   faithful archive, not a lossy report.
 
 The helpers come in pure (``*_to_*`` / ``*_from_*`` on strings) and
-file-writing (``write_*`` / ``read_*``) flavours; files are written in
-text mode with explicit ``newline=""``/``"\\n"`` handling so exports are
-platform-independent.
+file (``write_*`` / ``read_*``) flavours.  Each format has one chunk
+generator that both flavours are built from: the string function joins
+its chunks, the writer streams them to the file one record at a time, so
+a file is byte-identical to the string and an export never holds the
+whole document in memory.  Files are written in text mode with
+``newline=""`` so exports are platform-independent; the JSONL and CSV
+readers iterate over a file's lines rather than reading it whole.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.telemetry.events import TelemetryEvent, event_from_dict, event_to_dict
 from repro.telemetry.sampler import (
@@ -42,33 +46,44 @@ TIMELINE_FORMAT_VERSION = 1
 PathLike = Union[str, Path]
 
 
-def _canonical(payload: Dict[str, object]) -> str:
-    """Canonical JSON: sorted keys, minimal separators, no NaN."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+#: Canonical JSON: sorted keys, minimal separators, no NaN.  Shared by
+#: every telemetry and tracing exporter.
+CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
+
+def write_chunks(chunks: Iterable[str], path: PathLike) -> Path:
+    """Stream *chunks* to *path* as UTF-8 text; returns the path.
+
+    ``newline=""`` writes every ``"\\n"`` as is, on every platform.
+    """
+    destination = Path(path)
+    with open(destination, "w", encoding="utf-8", newline="") as stream:
+        stream.writelines(chunks)
+    return destination
 
 
 # ----------------------------------------------------------------------
 # Event log (JSONL)
 # ----------------------------------------------------------------------
+def _events_jsonl_chunks(events: Iterable[TelemetryEvent]) -> Iterator[str]:
+    for event in events:
+        yield CANONICAL_JSON.encode(dict(event_to_dict(event))) + "\n"
+
+
 def events_to_jsonl(events: Iterable[TelemetryEvent]) -> str:
     """Serialize *events* as canonical JSON Lines (one event per line).
 
     Returns the empty string for an empty stream; otherwise every line —
     including the last — is terminated by ``"\\n"``.
     """
-    lines = [_canonical(dict(event_to_dict(event))) for event in events]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(_events_jsonl_chunks(events))
 
 
-def events_from_jsonl(text: str) -> Tuple[TelemetryEvent, ...]:
-    """Parse a JSONL event log back into typed events.
-
-    Blank lines are ignored; anything else must be a valid event record.
-    """
+def _events_from_lines(lines: Iterable[str]) -> Tuple[TelemetryEvent, ...]:
     events: List[TelemetryEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -81,18 +96,25 @@ def events_from_jsonl(text: str) -> Tuple[TelemetryEvent, ...]:
     return tuple(events)
 
 
+def events_from_jsonl(text: str) -> Tuple[TelemetryEvent, ...]:
+    """Parse a JSONL event log back into typed events.
+
+    Blank lines are ignored; anything else must be a valid event record.
+    """
+    return _events_from_lines(text.splitlines())
+
+
 def write_events_jsonl(
     events: Iterable[TelemetryEvent], path: PathLike
 ) -> Path:
     """Write *events* to *path* as JSONL; returns the resolved path."""
-    destination = Path(path)
-    destination.write_text(events_to_jsonl(events), encoding="utf-8", newline="\n")
-    return destination
+    return write_chunks(_events_jsonl_chunks(events), path)
 
 
 def read_events_jsonl(path: PathLike) -> Tuple[TelemetryEvent, ...]:
     """Read a JSONL event log written by :func:`write_events_jsonl`."""
-    return events_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    with open(path, "r", encoding="utf-8") as stream:
+        return _events_from_lines(stream)
 
 
 # ----------------------------------------------------------------------
@@ -107,24 +129,34 @@ def _cell_to_text(value: CellValue) -> str:
     return repr(float(value))
 
 
+class _Echo:
+    """A file-like sink whose ``write`` returns its argument, so
+    ``csv.writer(_Echo()).writerow(cells)`` returns the formatted line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _timeline_csv_chunks(samples: Iterable[TimelineSample]) -> Iterator[str]:
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(TIMELINE_FIELDS)
+    for sample in samples:
+        record = sample_to_dict(sample)
+        yield writer.writerow(
+            [_cell_to_text(record[name]) for name in TIMELINE_FIELDS]
+        )
+
+
 def timeline_to_csv(samples: Iterable[TimelineSample]) -> str:
     """Serialize *samples* as CSV with a fixed header row.
 
     The column order is :data:`TIMELINE_FIELDS`; floats use ``repr`` so
     :func:`timeline_from_csv` restores them bit-for-bit.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TIMELINE_FIELDS)
-    for sample in samples:
-        record = sample_to_dict(sample)
-        writer.writerow([_cell_to_text(record[name]) for name in TIMELINE_FIELDS])
-    return buffer.getvalue()
+    return "".join(_timeline_csv_chunks(samples))
 
 
-def timeline_from_csv(text: str) -> Tuple[TimelineSample, ...]:
-    """Parse CSV produced by :func:`timeline_to_csv` back into samples."""
-    reader = csv.reader(io.StringIO(text))
+def _timeline_from_rows(reader: Iterator[List[str]]) -> Tuple[TimelineSample, ...]:
     try:
         header = next(reader)
     except StopIteration:
@@ -148,35 +180,48 @@ def timeline_from_csv(text: str) -> Tuple[TimelineSample, ...]:
     return tuple(samples)
 
 
+def timeline_from_csv(text: str) -> Tuple[TimelineSample, ...]:
+    """Parse CSV produced by :func:`timeline_to_csv` back into samples."""
+    return _timeline_from_rows(csv.reader(io.StringIO(text)))
+
+
 def write_timeline_csv(
     samples: Iterable[TimelineSample], path: PathLike
 ) -> Path:
     """Write *samples* to *path* as CSV; returns the resolved path."""
-    destination = Path(path)
-    destination.write_text(timeline_to_csv(samples), encoding="utf-8", newline="")
-    return destination
+    return write_chunks(_timeline_csv_chunks(samples), path)
 
 
 def read_timeline_csv(path: PathLike) -> Tuple[TimelineSample, ...]:
     """Read a CSV timeline written by :func:`write_timeline_csv`."""
-    return timeline_from_csv(Path(path).read_text(encoding="utf-8"))
+    with open(path, "r", encoding="utf-8", newline="") as stream:
+        return _timeline_from_rows(csv.reader(stream))
 
 
 # ----------------------------------------------------------------------
 # Timeline (JSON envelope)
 # ----------------------------------------------------------------------
-def timeline_to_json(samples: Sequence[TimelineSample]) -> str:
+def _timeline_json_chunks(samples: Iterable[TimelineSample]) -> Iterator[str]:
+    # The envelope minus its rows, then one row per chunk.  "samples" is
+    # the last key in sorted order, so the rows close the document.
+    envelope = CANONICAL_JSON.encode(
+        {"format_version": TIMELINE_FORMAT_VERSION, "fields": list(TIMELINE_FIELDS)}
+    )
+    yield envelope[:-1] + ',"samples":['
+    separator = ""
+    for sample in samples:
+        yield separator + CANONICAL_JSON.encode(dict(sample_to_dict(sample)))
+        separator = ","
+    yield "]}\n"
+
+
+def timeline_to_json(samples: Iterable[TimelineSample]) -> str:
     """Serialize *samples* as one canonical JSON document.
 
     The envelope carries a ``format_version`` and the column order so
     readers can validate compatibility before touching the rows.
     """
-    payload: Dict[str, object] = {
-        "format_version": TIMELINE_FORMAT_VERSION,
-        "fields": list(TIMELINE_FIELDS),
-        "samples": [dict(sample_to_dict(sample)) for sample in samples],
-    }
-    return _canonical(payload) + "\n"
+    return "".join(_timeline_json_chunks(samples))
 
 
 def timeline_from_json(text: str) -> Tuple[TimelineSample, ...]:
@@ -202,12 +247,10 @@ def timeline_from_json(text: str) -> Tuple[TimelineSample, ...]:
 
 
 def write_timeline_json(
-    samples: Sequence[TimelineSample], path: PathLike
+    samples: Iterable[TimelineSample], path: PathLike
 ) -> Path:
     """Write *samples* to *path* as JSON; returns the resolved path."""
-    destination = Path(path)
-    destination.write_text(timeline_to_json(samples), encoding="utf-8", newline="\n")
-    return destination
+    return write_chunks(_timeline_json_chunks(samples), path)
 
 
 def read_timeline_json(path: PathLike) -> Tuple[TimelineSample, ...]:
@@ -218,6 +261,8 @@ def read_timeline_json(path: PathLike) -> Tuple[TimelineSample, ...]:
 __all__ = [
     "TIMELINE_FORMAT_VERSION",
     "PathLike",
+    "CANONICAL_JSON",
+    "write_chunks",
     "events_to_jsonl",
     "events_from_jsonl",
     "write_events_jsonl",

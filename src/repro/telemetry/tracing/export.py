@@ -15,6 +15,13 @@ and the committed golden digests pin:
   canonical JSON object per line, mirroring the event-stream JSONL
   format of :mod:`repro.telemetry.exporters`.
 
+As in :mod:`repro.telemetry.exporters`, each format has one chunk
+generator: the string function joins it and the writer streams it to
+the file, so files equal strings byte for byte and an export holds one
+record at a time.  The readers decode as they go — the decision reader
+iterates over the file's lines, and the trace reader builds each
+:class:`Span` as its trace event is decoded.
+
 Neither format participates in experiment cache keys: traces are
 observability artifacts, not results.
 """
@@ -23,22 +30,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
+from repro.telemetry.exporters import CANONICAL_JSON, PathLike, write_chunks
 from repro.telemetry.tracing.decisions import DecisionRecord
 from repro.telemetry.tracing.spans import Span
 
 #: Version tag embedded in Chrome-trace metadata and decision records.
 TRACE_FORMAT_VERSION = 1
-
-PathLike = Union[str, Path]
-
-
-def _canonical(payload: Any) -> str:
-    """Canonical JSON: sorted keys, no whitespace, no NaN/Infinity."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +67,38 @@ def span_from_dict(data: Dict[str, Any]) -> Span:
     )
 
 
-def spans_to_chrome_json(spans: Sequence[Span]) -> str:
+def _trace_event(span: Span) -> Dict[str, Any]:
+    return {
+        "name": f"{span.kind}#{span.qid}",
+        "cat": span.kind,
+        "ph": "X",
+        "ts": span.start,
+        "dur": span.end - span.start,
+        "pid": 1,
+        "tid": span.site,
+        "args": span_to_dict(span),
+    }
+
+
+def _chrome_chunks(spans: Iterable[Span]) -> Iterator[str]:
+    # The document minus its events, then one event per chunk.
+    # "traceEvents" is the last key in sorted order, so the events close
+    # the document.
+    head = CANONICAL_JSON.encode(
+        {
+            "displayTimeUnit": "ms",
+            "metadata": {"trace_format_version": TRACE_FORMAT_VERSION},
+        }
+    )
+    yield head[:-1] + ',"traceEvents":['
+    separator = ""
+    for span in spans:
+        yield separator + CANONICAL_JSON.encode(_trace_event(span))
+        separator = ","
+    yield "]}\n"
+
+
+def spans_to_chrome_json(spans: Iterable[Span]) -> str:
     """Render *spans* as a canonical Chrome trace-event JSON document.
 
     Complete events (``"ph": "X"``): ``ts`` is the span start, ``dur``
@@ -76,26 +106,30 @@ def spans_to_chrome_json(spans: Sequence[Span]) -> str:
     ``args`` (the viewer shows it in the selection panel; the reader
     round-trips from it).  Returns the document with a trailing newline.
     """
-    trace_events: List[Dict[str, Any]] = []
-    for span in spans:
-        trace_events.append(
-            {
-                "name": f"{span.kind}#{span.qid}",
-                "cat": span.kind,
-                "ph": "X",
-                "ts": span.start,
-                "dur": span.end - span.start,
-                "pid": 1,
-                "tid": span.site,
-                "args": span_to_dict(span),
-            }
-        )
-    document = {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "metadata": {"trace_format_version": TRACE_FORMAT_VERSION},
-    }
-    return _canonical(document) + "\n"
+    return "".join(_chrome_chunks(spans))
+
+
+def _span_from_trace_event(obj: Dict[str, Any]) -> Any:
+    """``object_hook``: replace a trace event with the span in its args.
+
+    Objects are decoded innermost first, so by the time a trace event is
+    seen its ``args`` is already a plain dict; any other object (the
+    args themselves, metadata, the document) passes through.
+    """
+    args = obj.get("args")
+    if isinstance(args, dict):
+        return span_from_dict(args)
+    return obj
+
+
+def _spans_from_document(document: Any) -> Tuple[Span, ...]:
+    if not isinstance(document, dict) or "traceEvents" not in document:
+        raise ValueError("not a Chrome trace-event document")
+    spans = document["traceEvents"]
+    for entry in spans:
+        if not isinstance(entry, Span):
+            raise ValueError("trace event is missing its span args")
+    return tuple(spans)
 
 
 def spans_from_chrome_json(text: str) -> Tuple[Span, ...]:
@@ -105,28 +139,22 @@ def spans_from_chrome_json(text: str) -> Tuple[Span, ...]:
         ValueError: If the document is not a Chrome trace produced by
             this module (missing ``traceEvents`` or span ``args``).
     """
-    document = json.loads(text)
-    if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ValueError("not a Chrome trace-event document")
-    spans: List[Span] = []
-    for entry in document["traceEvents"]:
-        args = entry.get("args")
-        if not isinstance(args, dict):
-            raise ValueError("trace event is missing its span args")
-        spans.append(span_from_dict(args))
-    return tuple(spans)
+    return _spans_from_document(
+        json.loads(text, object_hook=_span_from_trace_event)
+    )
 
 
-def write_spans_chrome(spans: Sequence[Span], path: PathLike) -> None:
-    """Write *spans* to *path* as Chrome trace-event JSON."""
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write(spans_to_chrome_json(spans))
+def write_spans_chrome(spans: Iterable[Span], path: PathLike) -> Path:
+    """Write *spans* to *path* as Chrome trace-event JSON; returns the path."""
+    return write_chunks(_chrome_chunks(spans), path)
 
 
 def read_spans_chrome(path: PathLike) -> Tuple[Span, ...]:
     """Read spans back from a :func:`write_spans_chrome` file."""
     with open(path, "r", encoding="utf-8") as stream:
-        return spans_from_chrome_json(stream.read())
+        return _spans_from_document(
+            json.load(stream, object_hook=_span_from_trace_event)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +206,20 @@ def decision_from_dict(data: Dict[str, Any]) -> DecisionRecord:
     )
 
 
-def decisions_to_jsonl(records: Sequence[DecisionRecord]) -> str:
+def _decisions_jsonl_chunks(records: Iterable[DecisionRecord]) -> Iterator[str]:
+    for record in records:
+        yield CANONICAL_JSON.encode(decision_to_dict(record)) + "\n"
+
+
+def decisions_to_jsonl(records: Iterable[DecisionRecord]) -> str:
     """Render decision records as canonical JSONL (trailing newline)."""
-    return "".join(_canonical(decision_to_dict(r)) + "\n" for r in records)
+    return "".join(_decisions_jsonl_chunks(records))
+
+
+def _decisions_from_lines(lines: Iterable[str]) -> Tuple[DecisionRecord, ...]:
+    return tuple(
+        decision_from_dict(json.loads(line)) for line in lines if line.strip()
+    )
 
 
 def decisions_from_jsonl(text: str) -> Tuple[DecisionRecord, ...]:
@@ -188,25 +227,20 @@ def decisions_from_jsonl(text: str) -> Tuple[DecisionRecord, ...]:
 
     Blank lines are ignored, mirroring the event-stream JSONL reader.
     """
-    records: List[DecisionRecord] = []
-    for line in text.splitlines():
-        if line.strip():
-            records.append(decision_from_dict(json.loads(line)))
-    return tuple(records)
+    return _decisions_from_lines(text.splitlines())
 
 
 def write_decisions_jsonl(
-    records: Sequence[DecisionRecord], path: PathLike
-) -> None:
-    """Write decision records to *path* as canonical JSONL."""
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write(decisions_to_jsonl(records))
+    records: Iterable[DecisionRecord], path: PathLike
+) -> Path:
+    """Write decision records to *path* as canonical JSONL; returns the path."""
+    return write_chunks(_decisions_jsonl_chunks(records), path)
 
 
 def read_decisions_jsonl(path: PathLike) -> Tuple[DecisionRecord, ...]:
     """Read decision records back from :func:`write_decisions_jsonl`."""
     with open(path, "r", encoding="utf-8") as stream:
-        return decisions_from_jsonl(stream.read())
+        return _decisions_from_lines(stream)
 
 
 __all__ = [

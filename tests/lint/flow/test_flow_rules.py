@@ -38,6 +38,29 @@ def test_rl013_flags_stream_drawn_from_two_functions(tmp_path):
     assert "route" in violation.message
 
 
+def test_rl013_flags_one_shot_stream_drawn_from_two_functions(tmp_path):
+    # ``once`` fetches a stream just as ``stream`` does: a one-shot name
+    # drawn from two functions couples them all the same.
+    files = {
+        "repro/model/demand.py": """
+            def cpu_burst(sim, qid):
+                rng = sim.rng.once(f"query.n{qid}")
+                return rng.expovariate(1.0)
+        """,
+        "repro/model/disks.py": """
+            def pick_disk(sim, qid, count):
+                rng = sim.rng.once(f"query.n{qid}")
+                return rng.randrange(count)
+        """,
+    }
+    result = lint_tree(tmp_path, files, select=["RL013"])
+    assert codes(result) == ["RL013"]
+    (violation,) = result.violations
+    assert violation.path.endswith("disks.py")
+    assert "query.n{}" in violation.message
+    assert "cpu_burst" in violation.message
+
+
 def test_rl013_single_function_owner_is_clean(tmp_path):
     files = {
         "repro/sim/only.py": """

@@ -40,6 +40,29 @@ class TestRandomStreams:
         streams = RandomStreams(0)
         assert streams.stream("s") is streams.stream("s")
 
+    def test_once_gives_the_stream_sequence(self):
+        cached = RandomStreams(9).stream("query.s0.t1.n3")
+        fresh = RandomStreams(9).once("query.s0.t1.n3")
+        assert [fresh.random() for _ in range(10)] == [
+            cached.random() for _ in range(10)
+        ]
+
+    def test_once_is_not_cached(self):
+        streams = RandomStreams(9)
+        first = streams.once("q")
+        first.random()
+        second = streams.once("q")
+        assert second is not first
+        assert second.random() == RandomStreams(9).stream("q").random()
+        assert streams.cached_names == ()
+
+    def test_cached_names_are_sorted(self):
+        streams = RandomStreams(0)
+        streams.stream("b")
+        streams.stream("a")
+        streams.stream("b")
+        assert streams.cached_names == ("a", "b")
+
     def test_drawing_from_one_stream_does_not_disturb_another(self):
         # The common-random-numbers property: consuming stream "a" heavily
         # must not change what "b" produces.

@@ -138,6 +138,14 @@ class TestTimelineJson:
         assert data["fields"] == list(TIMELINE_FIELDS)
         assert len(data["samples"]) == len(SAMPLES)
 
+    def test_empty_timeline_is_a_complete_document(self):
+        text = timeline_to_json(())
+        assert text == (
+            '{"fields":' + json.dumps(list(TIMELINE_FIELDS), separators=(",", ":"))
+            + ',"format_version":1,"samples":[]}\n'
+        )
+        assert timeline_from_json(text) == ()
+
     def test_version_mismatch_rejected(self):
         data = json.loads(timeline_to_json(SAMPLES))
         data["format_version"] = 999

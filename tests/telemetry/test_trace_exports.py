@@ -106,6 +106,22 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             spans_from_chrome_json('{"not": "a trace"}')
 
+    def test_trace_event_without_span_args_rejected(self):
+        with pytest.raises(ValueError, match="not a Chrome"):
+            spans_from_chrome_json("[]")
+        with pytest.raises(ValueError, match="missing its span args"):
+            spans_from_chrome_json('{"traceEvents":[{"ph":"X"}]}')
+        with pytest.raises(ValueError, match="missing its span args"):
+            spans_from_chrome_json('{"traceEvents":[{"ph":"X","args":1}]}')
+
+    def test_empty_trace_is_a_complete_document(self):
+        text = spans_to_chrome_json(())
+        assert text == (
+            '{"displayTimeUnit":"ms","metadata":{"trace_format_version":1},'
+            '"traceEvents":[]}\n'
+        )
+        assert spans_from_chrome_json(text) == ()
+
 
 class TestReplayByteIdentity:
     def _exports(self, config, policy, spec):
