@@ -102,12 +102,6 @@ from repro.model.metrics import (
     SystemResults,
     WorkloadSummary,
 )
-from repro.model.serialization import (
-    load_fault_plan,
-    load_workload_spec,
-    save_fault_plan,
-    save_workload_spec,
-)
 from repro.model.system import DistributedDatabase
 from repro.model.view import SystemView
 from repro.policies.base import AllocationPolicy
@@ -138,7 +132,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "6.1.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "DistributedDatabase",
@@ -159,8 +153,6 @@ __all__ = [
     "RandomOutages",
     "MessageFaults",
     "LoadBoardOutage",
-    "save_fault_plan",
-    "load_fault_plan",
     "WorkloadSpec",
     "WorkloadSummary",
     "WorkloadError",
@@ -171,8 +163,6 @@ __all__ = [
     "MMPP",
     "DiurnalRate",
     "TraceDriven",
-    "save_workload_spec",
-    "load_workload_spec",
     "RunSpec",
     "RunReport",
     "run",

@@ -25,11 +25,15 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
+from repro.codec import load
+from repro.faults.errors import FaultError
+from repro.faults.plan import FaultPlan
 from repro.model.config import paper_defaults
-from repro.model.serialization import load_fault_plan, load_workload_spec
 from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
 from repro.telemetry.session import TelemetryConfig
+from repro.workloads.errors import WorkloadError
+from repro.workloads.spec import WorkloadSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default=None,
         metavar="PLAN.json",
-        help="install a fault plan (written by repro.save_fault_plan)",
+        help="install a fault plan (written by repro.codec.save)",
     )
     parser.add_argument(
         "--workload",
         default=None,
         metavar="PLAN.json",
-        help="drive the run with a workload spec (repro.save_workload_spec)",
+        help="drive the run with a workload spec (written by repro.codec.save)",
     )
     parser.add_argument(
         "--events",
@@ -132,15 +136,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             duration=args.duration,
             seed=args.seed,
             telemetry=telemetry,
-            faults=None if args.faults is None else load_fault_plan(args.faults),
+            faults=None if args.faults is None else load(FaultPlan, args.faults),
             workload=(
-                None if args.workload is None else load_workload_spec(args.workload)
+                None if args.workload is None else load(WorkloadSpec, args.workload)
             ),
         )
         policy = make_policy(args.policy)
     except KeyError as exc:
         parser.error(exc.args[0])
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FaultError, WorkloadError) as exc:
         parser.error(str(exc))
     report = run(paper_defaults(), policy, spec)
 

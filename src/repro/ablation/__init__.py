@@ -44,10 +44,6 @@ from repro.ablation.spec import (
     Component,
     StudySpec,
     Variant,
-    load_study_spec,
-    save_study_spec,
-    study_spec_from_dict,
-    study_spec_to_dict,
 )
 from repro.ablation.study import (
     CellOutcome,
@@ -60,10 +56,6 @@ __all__ = [
     "Variant",
     "Component",
     "StudySpec",
-    "study_spec_to_dict",
-    "study_spec_from_dict",
-    "save_study_spec",
-    "load_study_spec",
     "BASELINE_LABEL",
     "StudyCell",
     "StudyGrid",

@@ -18,37 +18,22 @@ A :class:`StudySpec` is a baseline run plus components:
   that give every cell its CRN-paired replication seeds.
 
 Everything is frozen and validated at construction, and round-trips
-through JSON (:func:`study_spec_to_dict` / :func:`study_spec_from_dict`,
-:func:`save_study_spec` / :func:`load_study_spec`) — the committed specs
-under ``studies/`` are exactly this format.  This module is therefore in
-reprolint's serialized-dataclass scope: every field of these dataclasses
-must appear as a string literal below, so a new field cannot silently
-stay out of the on-disk format.
+through JSON with :mod:`repro.codec` (``save(spec, path)`` /
+``load(StudySpec, path)``) — the committed specs under ``studies/`` are
+exactly this format.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
+from repro.codec import OMIT_DEFAULT, freeze
 from repro.experiments.parallel import check_system
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig, set_config_parameter
-from repro.model.serialization import (
-    config_from_dict,
-    config_to_dict,
-    fault_plan_from_dict,
-    fault_plan_to_dict,
-    workload_spec_from_dict,
-    workload_spec_to_dict,
-)
 from repro.workloads.spec import WorkloadSpec
-
-#: Version tag of the serialized study-spec format.
-STUDY_FORMAT_VERSION = 1
 
 #: Each metric a study may rank by, and the
 #: :class:`~repro.experiments.common.AveragedResults` attribute that holds
@@ -65,18 +50,9 @@ STUDY_METRIC_ATTRIBUTES: Dict[str, str] = {
 STUDY_METRICS = tuple(STUDY_METRIC_ATTRIBUTES)
 
 
-def _freeze(value: Any) -> Any:
-    """Recursively turn lists into tuples (JSON round-trip normalization)."""
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    if isinstance(value, tuple):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
 def _frozen_pairs(pairs: Any) -> Tuple[Tuple[str, Any], ...]:
     """Normalize ``(name, value)`` pair sequences to a hashable tuple."""
-    return tuple((str(name), _freeze(value)) for name, value in pairs)
+    return tuple((str(name), freeze(value)) for name, value in pairs)
 
 
 @dataclass(frozen=True)
@@ -106,8 +82,8 @@ class BaselineRun:
 class Variant:
     """One alternative setting of a component, as a delta vs baseline.
 
-    Unset fields (``None`` / empty) inherit the baseline; set fields
-    override it.  ``system_kind`` and ``system_kwargs`` override
+    Unset fields (``None`` / empty) inherit the baseline, set fields
+    override it, and only set fields are serialized.  ``system_kind`` and ``system_kwargs`` override
     *together*: naming a kind replaces both the baseline kind and its
     kwargs.
 
@@ -125,12 +101,12 @@ class Variant:
     """
 
     name: str
-    policy: Optional[str] = None
-    system_kind: Optional[str] = None
-    system_kwargs: Tuple[Tuple[str, Any], ...] = field(default=())
-    config_patches: Tuple[Tuple[str, Any], ...] = field(default=())
-    faults: Optional[FaultPlan] = None
-    workload: Optional[WorkloadSpec] = None
+    policy: Optional[str] = field(default=None, metadata=OMIT_DEFAULT)
+    system_kind: Optional[str] = field(default=None, metadata=OMIT_DEFAULT)
+    system_kwargs: Tuple[Tuple[str, Any], ...] = field(default=(), metadata=OMIT_DEFAULT)
+    config_patches: Tuple[Tuple[str, Any], ...] = field(default=(), metadata=OMIT_DEFAULT)
+    faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_DEFAULT)
+    workload: Optional[WorkloadSpec] = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -201,6 +177,8 @@ class StudySpec:
         components: The ablated dimensions.
     """
 
+    format_version: ClassVar[int] = 1
+
     name: str
     title: str
     description: str
@@ -240,170 +218,11 @@ class StudySpec:
         raise KeyError(f"study {self.name!r} has no component {name!r}")
 
 
-# ----------------------------------------------------------------------
-# JSON round-trip
-# ----------------------------------------------------------------------
-
-
-def _pairs_to_json(pairs: Tuple[Tuple[str, Any], ...]) -> list:
-    return [[name, _unfreeze(value)] for name, value in pairs]
-
-
-def _unfreeze(value: Any) -> Any:
-    """Tuples back to lists so ``json.dump`` accepts the tree."""
-    if isinstance(value, tuple):
-        return [_unfreeze(item) for item in value]
-    return value
-
-
-def _baseline_to_dict(baseline: BaselineRun) -> Dict[str, Any]:
-    return {
-        "policy": baseline.policy,
-        "system_kind": baseline.system_kind,
-        "system_kwargs": _pairs_to_json(baseline.system_kwargs),
-    }
-
-
-def _baseline_from_dict(data: Dict[str, Any]) -> BaselineRun:
-    return BaselineRun(
-        policy=data["policy"],
-        system_kind=data.get("system_kind", "standard"),
-        system_kwargs=_frozen_pairs(data.get("system_kwargs", ())),
-    )
-
-
-def _variant_to_dict(variant: Variant) -> Dict[str, Any]:
-    data: Dict[str, Any] = {"name": variant.name}
-    if variant.policy is not None:
-        data["policy"] = variant.policy
-    if variant.system_kind is not None:
-        data["system_kind"] = variant.system_kind
-        data["system_kwargs"] = _pairs_to_json(variant.system_kwargs)
-    if variant.config_patches:
-        data["config_patches"] = _pairs_to_json(variant.config_patches)
-    if variant.faults is not None:
-        data["faults"] = fault_plan_to_dict(variant.faults)
-    if variant.workload is not None:
-        data["workload"] = workload_spec_to_dict(variant.workload)
-    return data
-
-
-def _variant_from_dict(data: Dict[str, Any]) -> Variant:
-    faults = data.get("faults")
-    workload = data.get("workload")
-    return Variant(
-        name=data["name"],
-        policy=data.get("policy"),
-        system_kind=data.get("system_kind"),
-        system_kwargs=_frozen_pairs(data.get("system_kwargs", ())),
-        config_patches=_frozen_pairs(data.get("config_patches", ())),
-        faults=None if faults is None else fault_plan_from_dict(faults),
-        workload=None if workload is None else workload_spec_from_dict(workload),
-    )
-
-
-def _component_to_dict(component: Component) -> Dict[str, Any]:
-    return {
-        "name": component.name,
-        "description": component.description,
-        "variants": [_variant_to_dict(v) for v in component.variants],
-    }
-
-
-def _component_from_dict(data: Dict[str, Any]) -> Component:
-    return Component(
-        name=data["name"],
-        description=data.get("description", ""),
-        variants=tuple(_variant_from_dict(v) for v in data["variants"]),
-    )
-
-
-def _settings_to_dict(settings: RunSettings) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        "warmup": settings.warmup,
-        "duration": settings.duration,
-        "replications": settings.replications,
-        "base_seed": settings.base_seed,
-    }
-    if settings.faults is not None:
-        data["faults"] = fault_plan_to_dict(settings.faults)
-    if settings.workload is not None:
-        data["workload"] = workload_spec_to_dict(settings.workload)
-    return data
-
-
-def _settings_from_dict(data: Dict[str, Any]) -> RunSettings:
-    faults = data.get("faults")
-    workload = data.get("workload")
-    return RunSettings(
-        warmup=data["warmup"],
-        duration=data["duration"],
-        replications=data["replications"],
-        base_seed=data["base_seed"],
-        faults=None if faults is None else fault_plan_from_dict(faults),
-        workload=None if workload is None else workload_spec_from_dict(workload),
-    )
-
-
-def study_spec_to_dict(spec: StudySpec) -> Dict[str, Any]:
-    """Flatten a :class:`StudySpec` into JSON-compatible primitives."""
-    return {
-        "format_version": STUDY_FORMAT_VERSION,
-        "name": spec.name,
-        "title": spec.title,
-        "description": spec.description,
-        "metric": spec.metric,
-        "config": config_to_dict(spec.config),
-        "baseline": _baseline_to_dict(spec.baseline),
-        "settings": _settings_to_dict(spec.settings),
-        "components": [_component_to_dict(c) for c in spec.components],
-    }
-
-
-def study_spec_from_dict(data: Dict[str, Any]) -> StudySpec:
-    """Rebuild a :class:`StudySpec` from :func:`study_spec_to_dict` output."""
-    version = data.get("format_version", STUDY_FORMAT_VERSION)
-    if version != STUDY_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported study format_version {version!r} "
-            f"(this build reads {STUDY_FORMAT_VERSION})"
-        )
-    return StudySpec(
-        name=data["name"],
-        title=data.get("title", data["name"]),
-        description=data.get("description", ""),
-        metric=data["metric"],
-        config=config_from_dict(data["config"]),
-        baseline=_baseline_from_dict(data["baseline"]),
-        settings=_settings_from_dict(data["settings"]),
-        components=tuple(_component_from_dict(c) for c in data["components"]),
-    )
-
-
-def save_study_spec(
-    spec: StudySpec, path: Union[str, pathlib.Path]
-) -> None:
-    """Write a study spec as pretty-printed JSON (stable key order)."""
-    text = json.dumps(study_spec_to_dict(spec), indent=2, sort_keys=True)
-    pathlib.Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def load_study_spec(path: Union[str, pathlib.Path]) -> StudySpec:
-    """Read a study spec written by :func:`save_study_spec`."""
-    data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    return study_spec_from_dict(data)
-
-
 __all__ = [
-    "STUDY_FORMAT_VERSION",
     "STUDY_METRICS",
     "STUDY_METRIC_ATTRIBUTES",
     "BaselineRun",
     "Variant",
     "Component",
     "StudySpec",
-    "study_spec_to_dict",
-    "study_spec_from_dict",
-    "save_study_spec",
-    "load_study_spec",
 ]

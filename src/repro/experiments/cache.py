@@ -2,16 +2,20 @@
 
 Every simulation cell in the experiment harness is a pure function of
 
-``(SystemConfig, policy name, seed, warmup, duration, system kind, kwargs)``
+``(SystemConfig, policy name, seed, warmup, duration, system kind, kwargs,
+fault plan, workload spec)``
 
 so its :class:`~repro.model.metrics.SystemResults` can be cached on disk and
 reused across runs, scales that share cells, processes, and (with a shared
 directory) machines.  The cache is *content addressed*: the key is a SHA-256
 hash over the canonical JSON serialization of all the run inputs, so any
-single-field change — a different think time, seed, warmup, policy, or
-extension parameter — produces a different key, and two configs that are
-equal as dataclasses always produce the same key regardless of how they were
-constructed.
+single-field change — a different think time, seed, warmup, policy,
+mechanism parameter, fault or arrival process — produces a different key.
+The config, fault plan and workload spec are encoded by
+:mod:`repro.codec`, which covers every dataclass field by construction and
+writes float fields as floats, so two of them that are equal as
+dataclasses always produce the same key regardless of how they were
+constructed (``think_time=350`` and ``think_time=350.0`` share a key).
 
 Robustness properties:
 
@@ -50,13 +54,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
 from repro.model.metrics import SystemResults
-from repro.model.serialization import (
-    config_to_dict,
-    fault_plan_to_dict,
-    results_from_dict,
-    results_to_dict,
-    workload_spec_to_dict,
-)
+from repro.codec import to_dict
+from repro.model.serialization import results_from_dict, results_to_dict
 from repro.workloads.spec import WorkloadSpec
 
 #: Version of the cache-entry layout *and* the key derivation.  Bumping it
@@ -104,18 +103,19 @@ def cache_key(
 
     The key is the SHA-256 hex digest of the canonical JSON serialization
     of every input that determines the run's output.  ``system_kind`` and
-    ``system_kwargs`` identify extension system classes (stale-info,
-    update-workload, heterogeneous) and their parameters so extension runs
-    never collide with standard ones.  A non-``None`` *faults* plan is
-    folded into the key (so a faulted run can never be answered from a
-    faultless entry); ``None`` leaves the payload — and therefore every
-    pre-faults key — unchanged.  *workload* behaves the same way: a
+    ``system_kwargs`` name the mechanisms the run switches on (a row of
+    :data:`~repro.experiments.parallel.SYSTEM_KINDS`: stale load
+    information, updates, CPU speeds, ...) and their parameters, so
+    mechanism runs never collide with standard ones.  A non-``None``
+    *faults* plan is folded into the key (so a faulted run can never be
+    answered from a faultless entry); ``None`` leaves the payload — and
+    therefore every pre-faults key — unchanged.  *workload* behaves the same way: a
     non-``None`` spec (callers normalize the closed default to ``None``
     first) is folded in, and ``None`` preserves every pre-workload key.
     """
     payload: Dict[str, Any] = {
         "cache_version": CACHE_VERSION,
-        "config": config_to_dict(config),
+        "config": to_dict(config),
         "policy": policy,
         "seed": seed,
         "warmup": warmup,
@@ -125,10 +125,10 @@ def cache_key(
     }
     if faults is not None:
         # Added only when present: existing cache entries stay addressable.
-        payload["faults"] = fault_plan_to_dict(faults)
+        payload["faults"] = to_dict(faults)
     if workload is not None:
         # Same rule as faults: only open workloads alter the key.
-        payload["workload"] = workload_spec_to_dict(workload)
+        payload["workload"] = to_dict(workload)
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 

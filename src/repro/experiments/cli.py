@@ -43,6 +43,13 @@ from repro.experiments.registry import (
     get_experiment,
 )
 from repro.experiments.runconfig import settings_for
+from repro.faults.errors import FaultError
+from repro.workloads.errors import WorkloadError
+
+#: What reading a bad ``--faults``/``--workload``/study file raises: an
+#: unreadable file, a record that does not decode, or a value the spec's
+#: own validation rejects.
+SPEC_ERRORS = (ValueError, OSError, FaultError, WorkloadError)
 
 
 def _execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,7 +101,7 @@ def _settings_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PLAN.json",
         help=(
-            "install a fault plan (written by repro.save_fault_plan) into "
+            "install a fault plan (written by repro.codec.save) into "
             "every simulated run; update queries cannot run under faults, "
             "so the update-fraction ablation rejects this flag"
         ),
@@ -105,7 +112,7 @@ def _settings_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PLAN.json",
         help=(
             "drive every simulated run with a workload spec (written by "
-            "repro.save_workload_spec) instead of the paper's closed "
+            "repro.codec.save) instead of the paper's closed "
             "terminals"
         ),
     )
@@ -221,15 +228,15 @@ def _timing_line(name: str, elapsed: float, cache) -> str:
 
 
 def _settings_from_args(args):
+    from repro.codec import load
+    from repro.faults.plan import FaultPlan
+    from repro.workloads.spec import WorkloadSpec
+
     settings = settings_for(args.scale)
     if args.faults is not None:
-        from repro.model.serialization import load_fault_plan
-
-        settings = settings.with_faults(load_fault_plan(args.faults))
+        settings = settings.with_faults(load(FaultPlan, args.faults))
     if args.workload is not None:
-        from repro.model.serialization import load_workload_spec
-
-        settings = settings.with_workload(load_workload_spec(args.workload))
+        settings = settings.with_workload(load(WorkloadSpec, args.workload))
     return settings
 
 
@@ -268,10 +275,9 @@ def _run_list() -> int:
     return 0
 
 
-def _run_study(args) -> int:
-    from repro.ablation import load_study_spec, render_study_report, run_study
+def _run_study(spec, args) -> int:
+    from repro.ablation import render_study_report, run_study
 
-    spec = load_study_spec(args.spec)
     cache = _build_cache(args)
     context = StudyContext(jobs=args.jobs, cache=cache)
     started = time.perf_counter()
@@ -286,12 +292,24 @@ def _run_study(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _run_list()
+    # A spec file that cannot be read or does not decode is a usage
+    # error, not a traceback.
+    try:
+        if args.command == "study":
+            from repro.ablation import StudySpec
+            from repro.codec import load
+
+            spec = load(StudySpec, args.spec)
+        else:
+            settings = _settings_from_args(args)
+    except SPEC_ERRORS as exc:
+        parser.error(str(exc))
     if args.command == "study":
-        return _run_study(args)
-    settings = _settings_from_args(args)
+        return _run_study(spec, args)
     if args.command == "report":
         from repro.experiments.report import write_report
 

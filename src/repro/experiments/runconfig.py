@@ -14,9 +14,10 @@ independently derived master seeds and results are averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.codec import OMIT_DEFAULT
 from repro.faults.plan import FaultPlan
 from repro.workloads.spec import WorkloadSpec, normalize_workload
 
@@ -37,8 +38,8 @@ class RunSettings:
     duration: float = 15000.0
     replications: int = 1
     base_seed: int = 20250705
-    faults: Optional[FaultPlan] = None
-    workload: Optional[WorkloadSpec] = None
+    faults: Optional[FaultPlan] = field(default=None, metadata=OMIT_DEFAULT)
+    workload: Optional[WorkloadSpec] = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.warmup < 0 or self.duration <= 0:

@@ -7,7 +7,7 @@ dotted-module prefixes it applies to), and one or both of two hooks:
   parsed :class:`ModuleContext`; yields :class:`Violation` objects.
 * :meth:`Rule.check_project` — called once per lint run with the
   :class:`ProjectContext` holding *every* parsed module, for cross-module
-  invariants (e.g. RL006's serialization-coverage check).
+  invariants (e.g. the flow rules' whole-program analyses).
 
 Rules self-register via the :func:`register` decorator; the engine asks
 :func:`iter_rules` for one instance of each, sorted by code.

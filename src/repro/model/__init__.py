@@ -25,12 +25,6 @@ from repro.model.loadboard import FrozenLoadView, LoadBoard, LoadView
 from repro.model.metrics import MetricsCollector, SystemResults, summarize
 from repro.model.query import Query, make_query
 from repro.model.replication import ReplicationMap
-from repro.model.serialization import (
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
 from repro.model.ring import Message, TokenRing
 from repro.model.site import DBSite
 from repro.model.subnet import (
@@ -62,10 +56,6 @@ __all__ = [
     "SystemResults",
     "summarize",
     "Query",
-    "config_to_dict",
-    "config_from_dict",
-    "save_config",
-    "load_config",
     "make_query",
     "ReplicationMap",
     "Message",

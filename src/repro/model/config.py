@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, ClassVar, Optional, Tuple
 
-
-class ConfigError(ValueError):
-    """An invalid model configuration."""
+from repro.codec import ConfigError
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,8 @@ class SystemConfig:
         integer_reads: Round each query's sampled read count to an integer
             number of cycles (the optimizer estimate keeps the raw value).
     """
+
+    format_version: ClassVar[int] = 1
 
     num_sites: int = 6
     site: SiteSpec = dataclasses.field(default_factory=SiteSpec)

@@ -16,8 +16,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
+
+from repro.codec import OMIT_DEFAULT
 
 from repro.model.config import SystemConfig
 from repro.model.query import Query
@@ -251,6 +253,8 @@ class SystemResults:
             otherwise — like ``telemetry``, never cached.
     """
 
+    format_version: ClassVar[int] = 1
+
     policy: str
     mean_waiting_time: float
     mean_response_time: float
@@ -266,9 +270,11 @@ class SystemResults:
     waiting_ci: Optional[IntervalEstimate] = None
     telemetry: Optional[Tuple[Tuple[str, float], ...]] = None
     availability: Optional[AvailabilitySummary] = None
-    workload: Optional[WorkloadSummary] = None
-    decisions: Optional[DecisionSummary] = None
-    spans: Optional[SpanSummary] = None
+    # Omitted while None, so payloads of runs without these features stay
+    # byte-identical to older archives (golden digests, cache entries).
+    workload: Optional[WorkloadSummary] = field(default=None, metadata=OMIT_DEFAULT)
+    decisions: Optional[DecisionSummary] = field(default=None, metadata=OMIT_DEFAULT)
+    spans: Optional[SpanSummary] = field(default=None, metadata=OMIT_DEFAULT)
 
     def __str__(self) -> str:
         fair = f"{self.fairness:+.4f}" if self.fairness is not None else "n/a"

@@ -50,8 +50,6 @@ from repro.telemetry.events import (
     TelemetryEvent,
     TraceMessage,
     WarmupEnded,
-    event_from_dict,
-    event_to_dict,
 )
 from repro.telemetry.exporters import (
     events_from_jsonl,
@@ -81,8 +79,6 @@ from repro.telemetry.sampler import (
     TIMELINE_FIELDS,
     TimelineSample,
     TimelineSampler,
-    sample_from_dict,
-    sample_to_dict,
 )
 from repro.telemetry.profile import KernelProfiler, PhaseReport
 from repro.telemetry.session import TelemetryConfig, TelemetrySession
@@ -95,16 +91,12 @@ from repro.telemetry.tracing import (
     SpanCollector,
     SpanSummary,
     decision_cost,
-    decision_from_dict,
-    decision_to_dict,
     decisions_from_jsonl,
     decisions_to_jsonl,
     read_decisions_jsonl,
     read_spans_chrome,
     record_from_event,
-    span_from_dict,
     span_id,
-    span_to_dict,
     spans_from_chrome_json,
     spans_to_chrome_json,
     write_decisions_jsonl,
@@ -140,8 +132,6 @@ __all__ = [
     "ServiceFinished",
     "EVENT_TYPES",
     "EVENT_REGISTRY",
-    "event_to_dict",
-    "event_from_dict",
     # registry
     "Metric",
     "CounterMetric",
@@ -155,8 +145,6 @@ __all__ = [
     "TIMELINE_FIELDS",
     "TimelineSample",
     "TimelineSampler",
-    "sample_to_dict",
-    "sample_from_dict",
     # exporters
     "events_to_jsonl",
     "events_from_jsonl",
@@ -184,14 +172,10 @@ __all__ = [
     "DecisionSummary",
     "decision_cost",
     "record_from_event",
-    "span_to_dict",
-    "span_from_dict",
     "spans_to_chrome_json",
     "spans_from_chrome_json",
     "write_spans_chrome",
     "read_spans_chrome",
-    "decision_to_dict",
-    "decision_from_dict",
     "decisions_to_jsonl",
     "decisions_from_jsonl",
     "write_decisions_jsonl",

@@ -51,12 +51,8 @@ Event                   Emitted when / by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Tuple, Type, Union
-
-#: The primitive value types an event field may carry.
-FieldValue = Union[float, int, str, bool]
-
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Tuple, Type, Union
 
 @dataclass(frozen=True, slots=True)
 class TelemetryEvent:
@@ -65,6 +61,10 @@ class TelemetryEvent:
     Attributes:
         time: Simulated time at which the event occurred.
     """
+
+    #: Records carry their class name under ``"event"`` (see
+    #: :mod:`repro.codec`).
+    codec_tag: ClassVar[str] = "event"
 
     time: float
 
@@ -394,47 +394,17 @@ EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = (
     ServiceFinished,
 )
 
-#: Event name -> event class (for deserialization).
+#: Event name (the ``"event"`` tag of a record) -> event class.
 EVENT_REGISTRY: Dict[str, Type[TelemetryEvent]] = {
     cls.__name__: cls for cls in EVENT_TYPES
 }
 
-
-def event_to_dict(event: TelemetryEvent) -> Dict[str, FieldValue]:
-    """Flatten *event* into JSON primitives, tagged with its type name."""
-    payload: Dict[str, FieldValue] = {"event": event.name}
-    for spec in fields(event):
-        payload[spec.name] = getattr(event, spec.name)
-    return payload
-
-
-_COERCERS = {"float": float, "int": int, "str": str, "bool": bool}
-
-
-def event_from_dict(data: Dict[str, FieldValue]) -> TelemetryEvent:
-    """Rebuild a typed event from :func:`event_to_dict` output.
-
-    Field values are coerced to the annotated primitive type (JSON does not
-    distinguish ``1`` from ``1.0``), so round-trips restore exact types.
-
-    Raises:
-        ValueError: On an unknown event tag or missing fields.
-    """
-    tag = data.get("event")
-    if not isinstance(tag, str) or tag not in EVENT_REGISTRY:
-        raise ValueError(f"unknown telemetry event tag {tag!r}")
-    cls = EVENT_REGISTRY[tag]
-    kwargs: Dict[str, FieldValue] = {}
-    for spec in fields(cls):
-        if spec.name not in data:
-            raise ValueError(f"{tag} record is missing field {spec.name!r}")
-        coerce = _COERCERS.get(str(spec.type), str)
-        kwargs[spec.name] = coerce(data[spec.name])
-    return cls(**kwargs)  # type: ignore[arg-type]
+#: Any one event: the tagged union an event record decodes as
+#: (``repro.codec.from_dict(AnyEvent, record)``).
+AnyEvent = Union[EVENT_TYPES]  # type: ignore[valid-type]
 
 
 __all__ = [
-    "FieldValue",
     "TelemetryEvent",
     "RunStarted",
     "WarmupEnded",
@@ -457,6 +427,5 @@ __all__ = [
     "ServiceFinished",
     "EVENT_TYPES",
     "EVENT_REGISTRY",
-    "event_to_dict",
-    "event_from_dict",
+    "AnyEvent",
 ]

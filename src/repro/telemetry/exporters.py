@@ -7,10 +7,11 @@ Two properties drive the formats:
   (shortest round-trip representation), and newlines are always ``"\\n"``
   — so two runs with the same seed produce byte-identical files, the
   property the determinism regression test pins.
-* **Exact round-trips.**  Reading a file back reconstructs the original
-  typed objects exactly (types coerced per dataclass annotation, floats
-  recovered bit-for-bit from ``repr``), so exported telemetry is a
-  faithful archive, not a lossy report.
+* **Exact round-trips.**  Records are encoded and decoded by
+  :mod:`repro.codec`, so reading a file back reconstructs the original
+  typed objects exactly (types checked per dataclass annotation, floats
+  recovered bit-for-bit from ``repr``): exported telemetry is a faithful
+  archive, not a lossy report.
 
 The helpers come in pure (``*_to_*`` / ``*_from_*`` on strings) and
 file (``write_*`` / ``read_*``) flavours.  Each format has one chunk
@@ -30,14 +31,9 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
-from repro.telemetry.events import TelemetryEvent, event_from_dict, event_to_dict
-from repro.telemetry.sampler import (
-    TIMELINE_FIELDS,
-    CellValue,
-    TimelineSample,
-    sample_from_dict,
-    sample_to_dict,
-)
+from repro.codec import from_dict, to_dict
+from repro.telemetry.events import AnyEvent, TelemetryEvent
+from repro.telemetry.sampler import TIMELINE_FIELDS, CellValue, TimelineSample
 
 #: Version tag embedded in the JSON timeline envelope.
 TIMELINE_FORMAT_VERSION = 1
@@ -69,7 +65,7 @@ def write_chunks(chunks: Iterable[str], path: PathLike) -> Path:
 # ----------------------------------------------------------------------
 def _events_jsonl_chunks(events: Iterable[TelemetryEvent]) -> Iterator[str]:
     for event in events:
-        yield CANONICAL_JSON.encode(dict(event_to_dict(event))) + "\n"
+        yield CANONICAL_JSON.encode(to_dict(event)) + "\n"
 
 
 def events_to_jsonl(events: Iterable[TelemetryEvent]) -> str:
@@ -92,7 +88,7 @@ def _events_from_lines(lines: Iterable[str]) -> Tuple[TelemetryEvent, ...]:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"line {lineno}: expected a JSON object")
-        events.append(event_from_dict(data))
+        events.append(from_dict(AnyEvent, data))
     return tuple(events)
 
 
@@ -141,7 +137,7 @@ def _timeline_csv_chunks(samples: Iterable[TimelineSample]) -> Iterator[str]:
     writer = csv.writer(_Echo(), lineterminator="\n")
     yield writer.writerow(TIMELINE_FIELDS)
     for sample in samples:
-        record = sample_to_dict(sample)
+        record = to_dict(sample)
         yield writer.writerow(
             [_cell_to_text(record[name]) for name in TIMELINE_FIELDS]
         )
@@ -176,7 +172,7 @@ def _timeline_from_rows(reader: Iterator[List[str]]) -> Tuple[TimelineSample, ..
         record: Dict[str, CellValue] = {
             name: float(cell) for name, cell in zip(TIMELINE_FIELDS, row)
         }
-        samples.append(sample_from_dict(record))
+        samples.append(from_dict(TimelineSample, record))
     return tuple(samples)
 
 
@@ -210,7 +206,7 @@ def _timeline_json_chunks(samples: Iterable[TimelineSample]) -> Iterator[str]:
     yield envelope[:-1] + ',"samples":['
     separator = ""
     for sample in samples:
-        yield separator + CANONICAL_JSON.encode(dict(sample_to_dict(sample)))
+        yield separator + CANONICAL_JSON.encode(to_dict(sample))
         separator = ","
     yield "]}\n"
 
@@ -242,7 +238,7 @@ def timeline_from_json(text: str) -> Tuple[TimelineSample, ...]:
     for row in rows:
         if not isinstance(row, dict):
             raise ValueError("each timeline sample must be a JSON object")
-        samples.append(sample_from_dict(row))
+        samples.append(from_dict(TimelineSample, row))
     return tuple(samples)
 
 

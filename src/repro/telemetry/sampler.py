@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.system import DistributedDatabase
@@ -246,30 +246,10 @@ class TimelineSampler:
 CellValue = Union[float, int]
 
 
-def sample_to_dict(sample: TimelineSample) -> Dict[str, CellValue]:
-    """Flatten one sample into JSON primitives, in column order."""
-    return {name: getattr(sample, name) for name in TIMELINE_FIELDS}
-
-
-_COERCERS = {"float": float, "int": int}
-
-
-def sample_from_dict(data: Dict[str, CellValue]) -> TimelineSample:
-    """Rebuild a :class:`TimelineSample`, coercing field types exactly."""
-    kwargs: Dict[str, CellValue] = {}
-    for spec in fields(TimelineSample):
-        if spec.name not in data:
-            raise ValueError(f"timeline record is missing field {spec.name!r}")
-        kwargs[spec.name] = _COERCERS[str(spec.type)](data[spec.name])
-    return TimelineSample(**kwargs)  # type: ignore[arg-type]
-
-
 __all__ = [
     "SAMPLE_PRIORITY",
     "TIMELINE_FIELDS",
     "TimelineSample",
     "TimelineSampler",
     "CellValue",
-    "sample_to_dict",
-    "sample_from_dict",
 ]

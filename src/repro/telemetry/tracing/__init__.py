@@ -32,14 +32,10 @@ from repro.telemetry.tracing.decisions import (
 )
 from repro.telemetry.tracing.export import (
     TRACE_FORMAT_VERSION,
-    decision_from_dict,
-    decision_to_dict,
     decisions_from_jsonl,
     decisions_to_jsonl,
     read_decisions_jsonl,
     read_spans_chrome,
-    span_from_dict,
-    span_to_dict,
     spans_from_chrome_json,
     spans_to_chrome_json,
     write_decisions_jsonl,
@@ -66,14 +62,10 @@ __all__ = [
     "record_from_event",
     # export
     "TRACE_FORMAT_VERSION",
-    "span_to_dict",
-    "span_from_dict",
     "spans_to_chrome_json",
     "spans_from_chrome_json",
     "write_spans_chrome",
     "read_spans_chrome",
-    "decision_to_dict",
-    "decision_from_dict",
     "decisions_to_jsonl",
     "decisions_from_jsonl",
     "write_decisions_jsonl",

@@ -10,7 +10,8 @@ and the committed golden digests pin:
   ``chrome://tracing``.  One complete (``"ph": "X"``) event per span:
   ``pid`` 1, ``tid`` the site, ``ts``/``dur`` in simulated time units
   (``displayTimeUnit`` maps them to ms in the viewer).  The full span
-  dict rides in ``args`` so the export round-trips exactly.
+  record (:func:`repro.codec.to_dict`) rides in ``args`` so the export
+  round-trips exactly.
 * **JSONL** for decision records (:func:`decisions_to_jsonl`) — one
   canonical JSON object per line, mirroring the event-stream JSONL
   format of :mod:`repro.telemetry.exporters`.
@@ -32,6 +33,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, Tuple
 
+from repro.codec import from_dict, to_dict
 from repro.telemetry.exporters import CANONICAL_JSON, PathLike, write_chunks
 from repro.telemetry.tracing.decisions import DecisionRecord
 from repro.telemetry.tracing.spans import Span
@@ -43,30 +45,6 @@ TRACE_FORMAT_VERSION = 1
 # ----------------------------------------------------------------------
 # Spans — Chrome trace-event JSON
 # ----------------------------------------------------------------------
-def span_to_dict(span: Span) -> Dict[str, Any]:
-    """Flatten one span into JSON primitives."""
-    return {
-        "span_id": span.span_id,
-        "kind": span.kind,
-        "qid": span.qid,
-        "site": span.site,
-        "start": span.start,
-        "end": span.end,
-    }
-
-
-def span_from_dict(data: Dict[str, Any]) -> Span:
-    """Rebuild a :class:`Span` from :func:`span_to_dict` output."""
-    return Span(
-        span_id=str(data["span_id"]),
-        kind=str(data["kind"]),
-        qid=int(data["qid"]),
-        site=int(data["site"]),
-        start=float(data["start"]),
-        end=float(data["end"]),
-    )
-
-
 def _trace_event(span: Span) -> Dict[str, Any]:
     return {
         "name": f"{span.kind}#{span.qid}",
@@ -76,7 +54,7 @@ def _trace_event(span: Span) -> Dict[str, Any]:
         "dur": span.end - span.start,
         "pid": 1,
         "tid": span.site,
-        "args": span_to_dict(span),
+        "args": to_dict(span),
     }
 
 
@@ -118,7 +96,7 @@ def _span_from_trace_event(obj: Dict[str, Any]) -> Any:
     """
     args = obj.get("args")
     if isinstance(args, dict):
-        return span_from_dict(args)
+        return from_dict(Span, args)
     return obj
 
 
@@ -160,55 +138,9 @@ def read_spans_chrome(path: PathLike) -> Tuple[Span, ...]:
 # ----------------------------------------------------------------------
 # Decision records — JSONL
 # ----------------------------------------------------------------------
-def decision_to_dict(record: DecisionRecord) -> Dict[str, Any]:
-    """Flatten one decision record into JSON primitives."""
-    return {
-        "time": record.time,
-        "qid": record.qid,
-        "class_name": record.class_name,
-        "home_site": record.home_site,
-        "chosen_site": record.chosen_site,
-        "staleness": record.staleness,
-        "seen_loads": list(record.seen_loads),
-        "true_loads": list(record.true_loads),
-        "candidates": list(record.candidates),
-        "est_service": record.est_service,
-        "est_transfer": record.est_transfer,
-        "est_return": record.est_return,
-        "attempt": record.attempt,
-        "cost_chosen": record.cost_chosen,
-        "cost_best": record.cost_best,
-        "best_site": record.best_site,
-        "regret": record.regret,
-    }
-
-
-def decision_from_dict(data: Dict[str, Any]) -> DecisionRecord:
-    """Rebuild a :class:`DecisionRecord` from :func:`decision_to_dict`."""
-    return DecisionRecord(
-        time=float(data["time"]),
-        qid=int(data["qid"]),
-        class_name=str(data["class_name"]),
-        home_site=int(data["home_site"]),
-        chosen_site=int(data["chosen_site"]),
-        staleness=float(data["staleness"]),
-        seen_loads=tuple(int(n) for n in data["seen_loads"]),
-        true_loads=tuple(int(n) for n in data["true_loads"]),
-        candidates=tuple(int(n) for n in data["candidates"]),
-        est_service=float(data["est_service"]),
-        est_transfer=float(data["est_transfer"]),
-        est_return=float(data["est_return"]),
-        attempt=int(data["attempt"]),
-        cost_chosen=float(data["cost_chosen"]),
-        cost_best=float(data["cost_best"]),
-        best_site=int(data["best_site"]),
-        regret=float(data["regret"]),
-    )
-
-
 def _decisions_jsonl_chunks(records: Iterable[DecisionRecord]) -> Iterator[str]:
     for record in records:
-        yield CANONICAL_JSON.encode(decision_to_dict(record)) + "\n"
+        yield CANONICAL_JSON.encode(to_dict(record)) + "\n"
 
 
 def decisions_to_jsonl(records: Iterable[DecisionRecord]) -> str:
@@ -218,7 +150,7 @@ def decisions_to_jsonl(records: Iterable[DecisionRecord]) -> str:
 
 def _decisions_from_lines(lines: Iterable[str]) -> Tuple[DecisionRecord, ...]:
     return tuple(
-        decision_from_dict(json.loads(line)) for line in lines if line.strip()
+        from_dict(DecisionRecord, json.loads(line)) for line in lines if line.strip()
     )
 
 
@@ -245,14 +177,10 @@ def read_decisions_jsonl(path: PathLike) -> Tuple[DecisionRecord, ...]:
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
-    "span_to_dict",
-    "span_from_dict",
     "spans_to_chrome_json",
     "spans_from_chrome_json",
     "write_spans_chrome",
     "read_spans_chrome",
-    "decision_to_dict",
-    "decision_from_dict",
     "decisions_to_jsonl",
     "decisions_from_jsonl",
     "write_decisions_jsonl",

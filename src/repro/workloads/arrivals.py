@@ -25,7 +25,7 @@ replays stay byte-identical.
 All spec classes are frozen, hashable dataclasses built from primitives
 and tuples only, so a :class:`~repro.workloads.spec.WorkloadSpec` can be
 folded into the content-addressed cache key and round-tripped through
-JSON (:func:`repro.model.serialization.workload_spec_to_dict`).
+JSON (:func:`repro.codec.to_dict`, tagged by each class's ``kind``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
+    ClassVar,
     Generator,
     Protocol,
     Sequence,
@@ -68,7 +69,7 @@ class ArrivalProcess(Protocol):
     against a concrete system configuration, and launch its driving
     simulation processes.  The built-ins below serialize and enter cache
     keys; custom implementations work at run time but are rejected by
-    :func:`repro.model.serialization.workload_spec_to_dict`.
+    :func:`repro.codec.to_dict`.
     """
 
     @property
@@ -191,9 +192,8 @@ class ClosedTerminals:
     constructed without any workload argument.
     """
 
-    @property
-    def kind(self) -> str:
-        return "closed"
+    codec_tag: ClassVar[str] = "kind"
+    kind: ClassVar[str] = "closed"
 
     def validate_for(self, config: "SystemConfig") -> None:
         if config.site.mpl < 1:
@@ -219,6 +219,9 @@ class PoissonOpen:
             a uniformly random home site.
     """
 
+    codec_tag: ClassVar[str] = "kind"
+    kind: ClassVar[str] = "poisson"
+
     rate: float
     per_site: bool = True
 
@@ -226,10 +229,6 @@ class PoissonOpen:
         _require_finite("rate", self.rate)
         if self.rate <= 0:
             raise WorkloadError(f"rate must be > 0, got {self.rate}")
-
-    @property
-    def kind(self) -> str:
-        return "poisson"
 
     def validate_for(self, config: "SystemConfig") -> None:
         del config  # any topology hosts Poisson arrivals
@@ -270,6 +269,9 @@ class MMPP:
             supported; kept for symmetry and validated away).
     """
 
+    codec_tag: ClassVar[str] = "kind"
+    kind: ClassVar[str] = "mmpp"
+
     rates: Tuple[float, ...]
     mean_holding: Tuple[float, ...]
     per_site: bool = True
@@ -299,10 +301,6 @@ class MMPP:
         if not self.per_site:
             raise WorkloadError("MMPP currently supports per_site=True only")
 
-    @property
-    def kind(self) -> str:
-        return "mmpp"
-
     def validate_for(self, config: "SystemConfig") -> None:
         del config
 
@@ -331,6 +329,9 @@ class DiurnalRate:
         period: Length of one full day/cycle in simulated time (> 0).
     """
 
+    codec_tag: ClassVar[str] = "kind"
+    kind: ClassVar[str] = "diurnal"
+
     base_rate: float
     amplitude: float
     period: float
@@ -352,10 +353,6 @@ class DiurnalRate:
             raise WorkloadError(
                 "DiurnalRate currently supports per_site=True only"
             )
-
-    @property
-    def kind(self) -> str:
-        return "diurnal"
 
     def intensity_at(self, t: float) -> float:
         """The instantaneous arrival rate at simulated time *t*."""
@@ -391,6 +388,9 @@ class TraceDriven:
             content-addressed: two runs replaying the same trace share a
             cache key, whatever file it came from.
     """
+
+    codec_tag: ClassVar[str] = "kind"
+    kind: ClassVar[str] = "trace"
 
     arrivals: Tuple[Tuple[float, int], ...]
 
@@ -432,10 +432,6 @@ class TraceDriven:
                     '{"time": <number>, "site": <int>} record'
                 ) from None
         return cls(arrivals=tuple(arrivals))
-
-    @property
-    def kind(self) -> str:
-        return "trace"
 
     def validate_for(self, config: "SystemConfig") -> None:
         for _, site in self.arrivals:

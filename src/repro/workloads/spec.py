@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.workloads.arrivals import ArrivalSpec, ClosedTerminals
 from repro.workloads.errors import WorkloadError
@@ -69,6 +69,8 @@ class WorkloadSpec:
             :class:`ClosedTerminals` is rejected, because closed
             terminals self-regulate and never shed.
     """
+
+    format_version: ClassVar[int] = 1
 
     arrivals: ArrivalSpec = field(default_factory=ClosedTerminals)
     admission: Optional[AdmissionControl] = None

@@ -6,7 +6,8 @@ import pathlib
 import pytest
 
 from repro.ablation import build_study, expand, study_names
-from repro.ablation.spec import study_spec_from_dict, study_spec_to_dict
+from repro.ablation.spec import StudySpec
+from repro.codec import from_dict, to_dict
 from repro.experiments.runconfig import STANDARD
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -66,14 +67,14 @@ class TestCommittedSpecs:
         path = STUDIES_DIR / f"{name}.json"
         assert path.exists(), f"missing {path}; run tools/gen_studies.py"
         committed = json.loads(path.read_text(encoding="utf-8"))
-        assert committed == study_spec_to_dict(build_study(name, STANDARD))
+        assert committed == to_dict(build_study(name, STANDARD))
 
     @pytest.mark.parametrize("name", study_names())
     def test_committed_spec_loads(self, name):
         data = json.loads(
             (STUDIES_DIR / f"{name}.json").read_text(encoding="utf-8")
         )
-        spec = study_spec_from_dict(data)
+        spec = from_dict(StudySpec, data)
         assert spec == build_study(name, STANDARD)
 
     def test_no_orphan_spec_files(self):

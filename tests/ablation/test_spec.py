@@ -5,17 +5,13 @@ import json
 import pytest
 
 from repro.ablation.spec import (
-    STUDY_FORMAT_VERSION,
     STUDY_METRICS,
     BaselineRun,
     Component,
     StudySpec,
     Variant,
-    load_study_spec,
-    save_study_spec,
-    study_spec_from_dict,
-    study_spec_to_dict,
 )
+from repro.codec import from_dict, load, save, to_dict
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import paper_defaults
@@ -113,17 +109,17 @@ class TestValidation:
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
         spec = tiny_spec()
-        assert study_spec_from_dict(study_spec_to_dict(spec)) == spec
+        assert from_dict(StudySpec, to_dict(spec)) == spec
 
     def test_json_file_round_trip(self, tmp_path):
         spec = tiny_spec()
         path = tmp_path / "tiny.json"
-        save_study_spec(spec, path)
-        assert load_study_spec(path) == spec
+        save(spec, path)
+        assert load(StudySpec, path) == spec
         # The file is pretty-printed with stable key order.
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
-        assert json.loads(text)["format_version"] == STUDY_FORMAT_VERSION
+        assert json.loads(text)["format_version"] == StudySpec.format_version
 
     def test_round_trip_with_faults_and_workload(self):
         spec = tiny_spec(
@@ -151,7 +147,7 @@ class TestRoundTrip:
                 ),
             ),
         )
-        assert study_spec_from_dict(study_spec_to_dict(spec)) == spec
+        assert from_dict(StudySpec, to_dict(spec)) == spec
 
     def test_round_trip_with_system_kwargs(self):
         spec = tiny_spec(
@@ -174,13 +170,13 @@ class TestRoundTrip:
                 ),
             ),
         )
-        assert study_spec_from_dict(study_spec_to_dict(spec)) == spec
+        assert from_dict(StudySpec, to_dict(spec)) == spec
 
     def test_future_format_version_rejected(self):
-        data = study_spec_to_dict(tiny_spec())
-        data["format_version"] = STUDY_FORMAT_VERSION + 1
+        data = to_dict(tiny_spec())
+        data["format_version"] = StudySpec.format_version + 1
         with pytest.raises(ValueError, match="format_version"):
-            study_spec_from_dict(data)
+            from_dict(StudySpec, data)
 
     def test_json_lists_refreeze_to_tuples(self):
         spec = tiny_spec(
@@ -198,5 +194,5 @@ class TestRoundTrip:
             ),
         )
         # Through actual JSON text, so tuples become lists and back.
-        data = json.loads(json.dumps(study_spec_to_dict(spec)))
-        assert study_spec_from_dict(data) == spec
+        data = json.loads(json.dumps(to_dict(spec)))
+        assert from_dict(StudySpec, data) == spec

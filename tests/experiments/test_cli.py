@@ -156,11 +156,12 @@ class TestMain:
         assert "smoke" in out
 
     def test_study_end_to_end(self, tmp_path, capsys):
-        from repro.ablation import build_study, save_study_spec
+        from repro.ablation import build_study
+        from repro.codec import save
 
         spec = build_study("smoke")
         path = tmp_path / "smoke.json"
-        save_study_spec(spec, path)
+        save(spec, path)
         assert main(["study", str(path), "--no-cache"]) == 0
         captured = capsys.readouterr()
         assert "Ranked component importance" in captured.out
@@ -169,5 +170,47 @@ class TestMain:
     def test_study_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x"}), encoding="utf-8")
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit):
             main(["study", str(path), "--no-cache"])
+
+
+#: Spec files that must end in a one-line usage error (exit 2): each
+#: names the subcommand, the flag (or None for study's positional
+#: argument), the file text, and a fragment of the message.
+BAD_SPEC_FILES = [
+    ("table6", "--faults", "{not json", "not valid JSON"),
+    ("table6", "--faults", '{"site_outages": 3}', "expected a list"),
+    ("table6", "--faults", '{"bogus": 1}', "unknown field"),
+    ("table6", "--faults", '{"format_version": 9}', "format_version"),
+    ("table6", "--faults", '{"site_outages": [{"site": 0, "at": 1, "duration": -1}]}', "duration"),
+    ("table6", "--workload", '{"arrivals": {"kind": "martian"}}', "unknown kind tag"),
+    ("table6", "--workload", '{"arrivals": {"kind": "poisson", "rate": -1}}', "per_site"),
+    ("table6", "--workload", '{"arrivals": {"kind": "mmpp", "rates": [1], "mean_holding": [1],'
+     ' "per_site": true}}', "2 phases"),
+    ("study", None, json.dumps({"name": "x"}), "missing field"),
+    ("study", None, "[]", "expected a StudySpec object"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,text,message",
+    BAD_SPEC_FILES,
+    ids=[f"{c}-{flag or 'spec'}-{i}" for i, (c, flag, _, _) in enumerate(BAD_SPEC_FILES)],
+)
+def test_bad_spec_file_is_a_usage_error(tmp_path, capsys, command, flag, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)] if flag is None else [command, flag, str(path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--no-cache"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err.splitlines()[-1]
+
+
+def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table6", "--faults", str(tmp_path / "absent.json"), "--no-cache"])
+    assert exit_info.value.code == 2
+    assert "absent.json" in capsys.readouterr().err

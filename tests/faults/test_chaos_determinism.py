@@ -26,12 +26,8 @@ from repro.faults.plan import (
     RandomOutages,
     SiteOutage,
 )
-from repro.model.serialization import (
-    fault_plan_from_dict,
-    fault_plan_to_dict,
-    results_from_dict,
-    results_to_dict,
-)
+from repro.codec import from_dict, to_dict
+from repro.model.serialization import results_from_dict, results_to_dict
 from repro.runner import RunSpec, run
 from repro.telemetry.exporters import events_to_jsonl
 from repro.telemetry.session import TelemetryConfig
@@ -235,7 +231,7 @@ class TestCacheSeparation:
 
 class TestPlanSerializationRoundTrip:
     def test_chaos_plan_roundtrips(self):
-        assert fault_plan_from_dict(fault_plan_to_dict(CHAOS)) == CHAOS
+        assert from_dict(FaultPlan, to_dict(CHAOS)) == CHAOS
 
     def test_results_with_availability_roundtrip(self, tiny_config):
         results = chaos_report(tiny_config).results

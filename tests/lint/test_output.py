@@ -109,8 +109,9 @@ def test_cli_syntax_error_exit_two(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RL001", "RL004", "RL006", "RL010"):
+    for code in ("RL001", "RL004", "RL010"):
         assert code in out
+    assert "RL006" not in out  # retired: repro.codec covers every field
 
 
 def test_cli_ignore_flag(tmp_path, capsys):

@@ -1,27 +1,17 @@
-"""Unit tests for config and result serialization."""
+"""Unit tests for config and result serialization (through repro.codec)."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.model.config import ConfigError, NetworkSpec, paper_defaults
+from repro.codec import from_dict, load, save, to_dict
+from repro.model.config import ConfigError, NetworkSpec, SystemConfig, paper_defaults
 from repro.model.metrics import SystemResults
-from repro.model.serialization import (
-    FORMAT_VERSION,
-    RESULTS_FORMAT_VERSION,
-    averaged_results_from_dict,
-    averaged_results_to_dict,
-    config_from_dict,
-    config_to_dict,
-    interval_from_dict,
-    interval_to_dict,
-    load_config,
-    results_from_dict,
-    results_to_dict,
-    save_config,
-)
+from repro.model.serialization import results_from_dict, results_to_dict
+from repro.experiments.common import AveragedResults
 from repro.sim.stats import IntervalEstimate
+
 
 
 def make_results(policy="LERT", fairness=0.15, with_ci=True):
@@ -51,7 +41,7 @@ def make_results(policy="LERT", fairness=0.15, with_ci=True):
 class TestRoundTrip:
     def test_paper_defaults_round_trip(self):
         config = paper_defaults()
-        rebuilt = config_from_dict(config_to_dict(config))
+        rebuilt = from_dict(SystemConfig, to_dict(config))
         assert rebuilt == config
 
     def test_linear_network_round_trip(self):
@@ -59,7 +49,7 @@ class TestRoundTrip:
             paper_defaults(),
             network=NetworkSpec(msg_length=None, msg_time=0.002, page_size=512),
         )
-        rebuilt = config_from_dict(config_to_dict(config))
+        rebuilt = from_dict(SystemConfig, to_dict(config))
         assert rebuilt == config
         assert rebuilt.network.msg_length is None
 
@@ -67,11 +57,11 @@ class TestRoundTrip:
         config = dataclasses.replace(
             tiny_config, disk_organization="shared", integer_reads=False
         )
-        rebuilt = config_from_dict(config_to_dict(config))
+        rebuilt = from_dict(SystemConfig, to_dict(config))
         assert rebuilt == config
 
     def test_dict_is_json_compatible(self):
-        payload = json.dumps(config_to_dict(paper_defaults()))
+        payload = json.dumps(to_dict(paper_defaults()))
         assert "num_sites" in payload
 
 
@@ -79,46 +69,64 @@ class TestFileIO:
     def test_save_and_load(self, tmp_path):
         config = paper_defaults(mpl=25)
         path = tmp_path / "config.json"
-        save_config(config, path)
-        assert load_config(path) == config
+        save(config, path)
+        assert load(SystemConfig, path) == config
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
-            load_config(path)
+            load(SystemConfig, path)
 
 
 class TestValidation:
     def test_missing_key(self):
-        data = config_to_dict(paper_defaults())
+        data = to_dict(paper_defaults())
         del data["site"]
         with pytest.raises(ConfigError):
-            config_from_dict(data)
+            from_dict(SystemConfig, data)
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
-            config_from_dict("not a dict")
+            from_dict(SystemConfig, "not a dict")
 
     def test_unknown_version(self):
-        data = config_to_dict(paper_defaults())
-        data["format_version"] = FORMAT_VERSION + 1
+        data = to_dict(paper_defaults())
+        data["format_version"] = SystemConfig.format_version + 1
         with pytest.raises(ConfigError):
-            config_from_dict(data)
+            from_dict(SystemConfig, data)
 
     def test_invalid_values_rejected_by_dataclasses(self):
-        data = config_to_dict(paper_defaults())
+        data = to_dict(paper_defaults())
         data["site"]["num_disks"] = 0
         with pytest.raises(ConfigError):
-            config_from_dict(data)
+            from_dict(SystemConfig, data)
 
     def test_defaults_for_optional_keys(self):
-        data = config_to_dict(paper_defaults())
-        del data["disk_organization"]
-        del data["integer_reads"]
-        rebuilt = config_from_dict(data)
-        assert rebuilt.disk_organization == "per_disk"
-        assert rebuilt.integer_reads is True
+        # Every key the encoder writes is required, defaulted fields too;
+        # only the version may be left out (it reads as the current one).
+        data = to_dict(paper_defaults())
+        del data["format_version"]
+        assert from_dict(SystemConfig, data) == paper_defaults()
+        for key in ("disk_organization", "integer_reads"):
+            data = to_dict(paper_defaults())
+            del data[key]
+            with pytest.raises(ConfigError, match=key):
+                from_dict(SystemConfig, data)
+
+    def test_unknown_key(self):
+        data = to_dict(paper_defaults())
+        data["site"]["num_disk"] = 3
+        with pytest.raises(ConfigError, match="num_disk"):
+            from_dict(SystemConfig, data)
+
+    def test_int_valued_floats_share_an_encoding(self):
+        config = paper_defaults()
+        widened = dataclasses.replace(
+            config, site=dataclasses.replace(config.site, think_time=350)
+        )
+        assert widened == config
+        assert to_dict(widened) == to_dict(config)
 
 
 class TestIntervalRoundTrip:
@@ -126,19 +134,19 @@ class TestIntervalRoundTrip:
         estimate = IntervalEstimate(
             mean=1.25, half_width=0.5, confidence=0.95, batches=12
         )
-        assert interval_from_dict(interval_to_dict(estimate)) == estimate
+        assert from_dict(IntervalEstimate, to_dict(estimate)) == estimate
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
-            interval_from_dict("not a dict")
+            from_dict(IntervalEstimate, "not a dict")
 
     def test_missing_key(self):
-        data = interval_to_dict(
+        data = to_dict(
             IntervalEstimate(mean=1.0, half_width=0.1, confidence=0.9, batches=5)
         )
         del data["half_width"]
         with pytest.raises(ConfigError):
-            interval_from_dict(data)
+            from_dict(IntervalEstimate, data)
 
 
 class TestResultsRoundTrip:
@@ -183,7 +191,7 @@ class TestResultsRoundTrip:
 
     def test_unknown_version(self):
         data = results_to_dict(make_results())
-        data["format_version"] = RESULTS_FORMAT_VERSION + 1
+        data["format_version"] = SystemResults.format_version + 1
         with pytest.raises(ConfigError):
             results_from_dict(data)
 
@@ -244,33 +252,22 @@ class TestTracingSummariesRoundTrip:
         assert results_from_dict(payload) == make_results()
 
     def test_summary_dict_helpers_round_trip(self):
-        from repro.model.serialization import (
-            decision_summary_from_dict,
-            decision_summary_to_dict,
-            span_summary_from_dict,
-            span_summary_to_dict,
-        )
+        from repro.telemetry.tracing import DecisionSummary, SpanSummary
 
         traced = self._traced()
         assert (
-            decision_summary_from_dict(decision_summary_to_dict(traced.decisions))
+            from_dict(DecisionSummary, to_dict(traced.decisions))
             == traced.decisions
         )
-        assert (
-            span_summary_from_dict(span_summary_to_dict(traced.spans))
-            == traced.spans
-        )
+        assert from_dict(SpanSummary, to_dict(traced.spans)) == traced.spans
 
     def test_summary_missing_key_rejected(self):
-        from repro.model.serialization import (
-            decision_summary_from_dict,
-            decision_summary_to_dict,
-        )
+        from repro.telemetry.tracing import DecisionSummary
 
-        data = decision_summary_to_dict(self._traced().decisions)
+        data = to_dict(self._traced().decisions)
         del data["total_regret"]
         with pytest.raises(ConfigError):
-            decision_summary_from_dict(data)
+            from_dict(DecisionSummary, data)
 
 
 class TestAveragedResultsRoundTrip:
@@ -282,27 +279,27 @@ class TestAveragedResultsRoundTrip:
 
     def test_round_trip(self):
         averaged = self._averaged()
-        rebuilt = averaged_results_from_dict(averaged_results_to_dict(averaged))
+        rebuilt = from_dict(AveragedResults, to_dict(averaged))
         assert rebuilt == averaged
         assert rebuilt.per_replication == averaged.per_replication
 
     def test_survives_json_round_trip(self):
         averaged = self._averaged()
-        data = json.loads(json.dumps(averaged_results_to_dict(averaged)))
-        assert averaged_results_from_dict(data) == averaged
+        data = json.loads(json.dumps(to_dict(averaged)))
+        assert from_dict(AveragedResults, data) == averaged
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
-            averaged_results_from_dict(17)
+            from_dict(AveragedResults, 17)
 
     def test_unknown_version(self):
-        data = averaged_results_to_dict(self._averaged())
-        data["format_version"] = RESULTS_FORMAT_VERSION + 1
+        data = to_dict(self._averaged())
+        data["format_version"] = SystemResults.format_version + 1
         with pytest.raises(ConfigError):
-            averaged_results_from_dict(data)
+            from_dict(AveragedResults, data)
 
     def test_missing_key(self):
-        data = averaged_results_to_dict(self._averaged())
+        data = to_dict(self._averaged())
         del data["per_replication"]
         with pytest.raises(ConfigError):
-            averaged_results_from_dict(data)
+            from_dict(AveragedResults, data)

@@ -150,7 +150,8 @@ class TestEndToEnd:
             paper_defaults().with_network(subnet_kind="bus")
 
     def test_serialization_round_trip_with_mesh(self):
-        from repro.model.serialization import config_from_dict, config_to_dict
+        from repro.codec import from_dict, to_dict
+        from repro.model.config import SystemConfig
 
         config = paper_defaults().with_network(subnet_kind="mesh")
-        assert config_from_dict(config_to_dict(config)) == config
+        assert from_dict(SystemConfig, to_dict(config)) == config

@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.codec import from_dict, to_dict
 from repro.telemetry.events import (
+    AnyEvent,
     EVENT_REGISTRY,
     EVENT_TYPES,
     AllocationDecided,
@@ -26,8 +28,6 @@ from repro.telemetry.events import (
     SiteRecovered,
     TraceMessage,
     WarmupEnded,
-    event_from_dict,
-    event_to_dict,
 )
 
 #: One concrete instance of every event type (all fields non-default-ish).
@@ -104,30 +104,30 @@ class TestTaxonomy:
 class TestRoundTrip:
     @pytest.mark.parametrize("sample", SAMPLES, ids=lambda s: s.name)
     def test_dict_round_trip_is_exact(self, sample):
-        restored = event_from_dict(event_to_dict(sample))
+        restored = from_dict(AnyEvent, to_dict(sample))
         assert restored == sample
         assert type(restored) is type(sample)
 
     def test_to_dict_carries_type_tag(self):
-        payload = event_to_dict(WarmupEnded(time=2.0))
+        payload = to_dict(WarmupEnded(time=2.0))
         assert payload == {"event": "WarmupEnded", "time": 2.0}
 
     def test_coerces_json_widened_ints(self):
         # JSON can't distinguish 1 from 1.0; round-trips restore exact types.
-        payload = event_to_dict(ServiceStarted(time=1.0, qid=3, site=0, reads=4))
+        payload = to_dict(ServiceStarted(time=1.0, qid=3, site=0, reads=4))
         payload["reads"] = 4.0
         payload["time"] = 1
-        restored = event_from_dict(payload)
+        restored = from_dict(AnyEvent, payload)
         assert restored == ServiceStarted(time=1.0, qid=3, site=0, reads=4)
         assert isinstance(restored.reads, int)
         assert isinstance(restored.time, float)
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError, match="unknown telemetry event tag"):
-            event_from_dict({"event": "Nope", "time": 1.0})
-        with pytest.raises(ValueError, match="unknown telemetry event tag"):
-            event_from_dict({"time": 1.0})
+        with pytest.raises(ValueError, match="unknown event tag"):
+            from_dict(AnyEvent, {"event": "Nope", "time": 1.0})
+        with pytest.raises(ValueError, match="unknown event tag"):
+            from_dict(AnyEvent, {"time": 1.0})
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing field"):
-            event_from_dict({"event": "RunEnded", "time": 1.0})
+            from_dict(AnyEvent, {"event": "RunEnded", "time": 1.0})

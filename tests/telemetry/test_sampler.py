@@ -5,14 +5,13 @@ import math
 
 import pytest
 
+from repro.codec import from_dict, to_dict
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 from repro.telemetry.sampler import (
     TIMELINE_FIELDS,
     TimelineSample,
     TimelineSampler,
-    sample_from_dict,
-    sample_to_dict,
 )
 from repro.telemetry.session import TelemetryConfig, TelemetrySession
 
@@ -146,12 +145,12 @@ class TestSampleRecords:
             load_cpu=2,
             staleness=0.0,
         )
-        payload = sample_to_dict(sample)
+        payload = to_dict(sample)
         assert tuple(payload) == TIMELINE_FIELDS
-        restored = sample_from_dict(payload)
+        restored = from_dict(TimelineSample, payload)
         assert restored == sample
         assert isinstance(restored.cpu_queue, int)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing field"):
-            sample_from_dict({"time": 1.0})
+            from_dict(TimelineSample, {"time": 1.0})

@@ -32,8 +32,6 @@ class TestPublicSurface:
             "MMPP",
             "DiurnalRate",
             "TraceDriven",
-            "save_workload_spec",
-            "load_workload_spec",
         ):
             assert hasattr(repro, name), name
             assert name in repro.__all__, name

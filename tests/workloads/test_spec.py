@@ -6,13 +6,7 @@ import math
 import pytest
 
 from repro.model.config import paper_defaults
-from repro.model.serialization import (
-    ConfigError,
-    load_workload_spec,
-    save_workload_spec,
-    workload_spec_from_dict,
-    workload_spec_to_dict,
-)
+from repro.codec import ConfigError, from_dict, load, save, to_dict
 from repro.workloads import (
     AdmissionControl,
     ClosedTerminals,
@@ -136,14 +130,14 @@ class TestNormalization:
 class TestSerializationRoundTrip:
     def test_every_builtin_roundtrips(self):
         for spec in (WorkloadSpec(), *OPEN_SPECS):
-            restored = workload_spec_from_dict(workload_spec_to_dict(spec))
+            restored = from_dict(WorkloadSpec, to_dict(spec))
             assert restored == spec, spec
 
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "workload.json"
         for spec in OPEN_SPECS:
-            save_workload_spec(spec, path)
-            assert load_workload_spec(path) == spec
+            save(spec, path)
+            assert load(WorkloadSpec, path) == spec
 
     def test_custom_arrival_process_rejected(self):
         class Custom:
@@ -153,19 +147,19 @@ class TestSerializationRoundTrip:
         object.__setattr__(spec, "arrivals", Custom())
         object.__setattr__(spec, "admission", None)
         with pytest.raises(ConfigError):
-            workload_spec_to_dict(spec)
+            to_dict(spec)
 
     def test_unknown_kind_rejected_on_read(self):
-        payload = workload_spec_to_dict(OPEN_SPECS[0])
+        payload = to_dict(OPEN_SPECS[0])
         payload["arrivals"]["kind"] = "martian"
         with pytest.raises(ConfigError):
-            workload_spec_from_dict(payload)
+            from_dict(WorkloadSpec, payload)
 
     def test_missing_field_rejected_on_read(self):
-        payload = workload_spec_to_dict(OPEN_SPECS[0])
+        payload = to_dict(OPEN_SPECS[0])
         del payload["arrivals"]["rate"]
         with pytest.raises(ConfigError):
-            workload_spec_from_dict(payload)
+            from_dict(WorkloadSpec, payload)
 
 
 class TestCapacityEstimate:

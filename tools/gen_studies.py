@@ -28,7 +28,7 @@ OUTPUT_DIR = REPO_ROOT / "studies"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.ablation.catalog import build_study, study_names  # noqa: E402
-from repro.ablation.spec import study_spec_to_dict  # noqa: E402
+from repro.codec import to_dict  # noqa: E402
 from repro.experiments.runconfig import STANDARD  # noqa: E402
 
 
@@ -38,7 +38,7 @@ def render(name: str) -> str:
 
     spec = build_study(name, STANDARD)
     return (
-        json.dumps(study_spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
+        json.dumps(to_dict(spec), indent=2, sort_keys=True) + "\n"
     )
 
 
