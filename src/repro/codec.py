@@ -24,12 +24,17 @@ code.  The encoding rules:
   rejects any other version on decoding (an absent version is read as
   the current one);
 * a field whose metadata is :data:`OMIT_DEFAULT` is left out while it
-  holds its default, and may be absent when decoding; every other
-  field must be present.
+  holds its default;
+* a key may be absent when its field has a default value, which then
+  fills it in (hand-written spec files and archives older than a field
+  still load); a field with no default, one whose default is built by a
+  ``default_factory`` (a nested record such as ``SystemConfig.site``),
+  and one whose metadata is :data:`REQUIRED` must be present.
 
-Decoding raises :class:`ConfigError` on a missing or unknown key, a
-wrong version or tag, and a value of the wrong shape; a class whose
-annotations the codec does not support raises it on first use.  Each
+Decoding raises :class:`ConfigError` on a missing required key, an
+unknown key, a wrong version or tag, and a value of the wrong shape; a
+class whose annotations the codec does not support raises it on first
+use.  Each
 class's plan is built once (``typing.get_type_hints`` runs once per
 class) and cached.
 
@@ -49,6 +54,10 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 #: Field metadata: leave the field out of the encoding while it holds
 #: its default (``field(default=None, metadata=OMIT_DEFAULT)``).
 OMIT_DEFAULT = types.MappingProxyType({"omit_default": True})
+
+#: Field metadata: the key must be present when decoding although the
+#: field has a default (a record without it predates the field).
+REQUIRED = types.MappingProxyType({"required": True})
 
 #: ``None`` means "pass the value through unchanged".
 Encoder = Optional[Callable[[Any], Any]]
@@ -135,16 +144,17 @@ def _dataclass_codec(cls: type) -> Tuple[Encoder, Decoder]:
     rows = []
     for spec in dataclasses.fields(cls):
         omit = bool(spec.metadata.get("omit_default"))
-        if omit and spec.default is dataclasses.MISSING:
-            raise ConfigError(f"{cls.__name__}.{spec.name}: omitted fields need a default")
+        required = spec.default is dataclasses.MISSING or "required" in spec.metadata
+        if omit and required:
+            raise ConfigError(f"{cls.__name__}.{spec.name}: an omitted field needs a default")
         encode, decode = _codec(hints[spec.name])
-        rows.append((spec.name, encode, decode, omit, spec.default))
+        rows.append((spec.name, encode, decode, omit, spec.default, required))
     known = frozenset(head) | {row[0] for row in rows}
     name = cls.__name__
 
     def encode_object(obj: Any) -> Dict[str, Any]:
         out = dict(head)
-        for field_name, encode, _, omit, default in rows:
+        for field_name, encode, _, omit, default, _ in rows:
             value = getattr(obj, field_name)
             if omit and value == default:
                 continue
@@ -163,13 +173,13 @@ def _dataclass_codec(cls: type) -> Tuple[Encoder, Decoder]:
                     f"unsupported {name} {key} {data[key]!r} (expected {expected!r})"
                 )
         kwargs = {}
-        for field_name, _, decode, omit, _ in rows:
+        for field_name, _, decode, _, _, required in rows:
             if field_name in data:
                 try:
                     kwargs[field_name] = decode(data[field_name])
                 except ConfigError as error:
                     raise ConfigError(f"{name}.{field_name}: {error}") from None
-            elif not omit:
+            elif required:
                 raise ConfigError(f"{name} record is missing field {field_name!r}")
         return cls(**kwargs)
 
@@ -282,9 +292,9 @@ def from_dict(cls: Any, data: Any) -> Any:
     """Decode *data* as *cls*: a dataclass, or a tagged union of them.
 
     Raises:
-        ConfigError: On a missing or unknown key, a wrong version or tag,
-            or a value of the wrong shape.  Validation errors of the
-            dataclasses themselves propagate unchanged.
+        ConfigError: On a missing required key, an unknown key, a wrong
+            version or tag, or a value of the wrong shape.  Validation
+            errors of the dataclasses themselves propagate unchanged.
     """
     return _codec(cls)[1](data)
 
@@ -313,6 +323,7 @@ def load(cls: Any, path: Union[str, pathlib.Path]) -> Any:
 __all__ = [
     "ConfigError",
     "OMIT_DEFAULT",
+    "REQUIRED",
     "freeze",
     "to_dict",
     "from_dict",

@@ -5,8 +5,9 @@ exactly reproducible: the parallel runner and the content-addressed result
 cache (PR 1) both *assume* bit-identical re-execution.  That assumption
 rests on project-specific coding invariants that no off-the-shelf linter
 knows about — named RNG streams instead of global random state, simulated
-time instead of wall-clock time, order-independent aggregation, complete
-serialization coverage of every config/results field.
+time instead of wall-clock time, order-independent aggregation.  (Complete
+serialization of every config/results field needs no rule: the generic
+codec, :mod:`repro.codec`, encodes every dataclass field by construction.)
 
 ``reprolint`` enforces those invariants *by construction*, with a custom
 AST-based static-analysis pass:

@@ -768,7 +768,6 @@ __all__ = [
     "UnorderedIteration",
     "FloatSum",
     "MutableDefault",
-    "SerializationCoverage",
     "EnvironmentRead",
     "SwallowedException",
     "PrintInCore",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Optional, Tuple
 
-from repro.codec import OMIT_DEFAULT
+from repro.codec import OMIT_DEFAULT, REQUIRED
 
 from repro.model.config import SystemConfig
 from repro.model.query import Query
@@ -268,8 +268,10 @@ class SystemResults:
     remote_fraction: float
     measured_time: float
     waiting_ci: Optional[IntervalEstimate] = None
-    telemetry: Optional[Tuple[Tuple[str, float], ...]] = None
-    availability: Optional[AvailabilitySummary] = None
+    # Required, so cached records written before these fields existed
+    # are rejected rather than read as telemetry- and fault-free.
+    telemetry: Optional[Tuple[Tuple[str, float], ...]] = field(default=None, metadata=REQUIRED)
+    availability: Optional[AvailabilitySummary] = field(default=None, metadata=REQUIRED)
     # Omitted while None, so payloads of runs without these features stay
     # byte-identical to older archives (golden digests, cache entries).
     workload: Optional[WorkloadSummary] = field(default=None, metadata=OMIT_DEFAULT)

@@ -184,7 +184,7 @@ BAD_SPEC_FILES = [
     ("table6", "--faults", '{"format_version": 9}', "format_version"),
     ("table6", "--faults", '{"site_outages": [{"site": 0, "at": 1, "duration": -1}]}', "duration"),
     ("table6", "--workload", '{"arrivals": {"kind": "martian"}}', "unknown kind tag"),
-    ("table6", "--workload", '{"arrivals": {"kind": "poisson", "rate": -1}}', "per_site"),
+    ("table6", "--workload", '{"arrivals": {"kind": "poisson", "rate": -1}}', "rate must be > 0"),
     ("table6", "--workload", '{"arrivals": {"kind": "mmpp", "rates": [1], "mean_holding": [1],'
      ' "per_site": true}}', "2 phases"),
     ("study", None, json.dumps({"name": "x"}), "missing field"),

@@ -53,6 +53,20 @@ def test_check_fails_loudly_on_import_error(tmp_path):
     assert "error importing" in result.stderr
 
 
+def test_check_fails_on_undefined_export(tmp_path):
+    """An ``__all__`` entry the module does not define must exit 2."""
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "__init__.py").write_text('"""Fake repro."""\n', encoding="utf-8")
+    (package / "widget.py").write_text(
+        '"""A module that exports a deleted name."""\n__all__ = ["Gone"]\n',
+        encoding="utf-8",
+    )
+    result = _run(tmp_path, "--check")
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "undefined name 'Gone'" in result.stderr
+
+
 def test_check_detects_stale_index(tmp_path):
     """A fake healthy repro package whose API differs from docs -> exit 1."""
     package = tmp_path / "repro"

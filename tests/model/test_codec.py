@@ -38,7 +38,7 @@ from repro.telemetry.events import EVENT_TYPES, AnyEvent
 from repro.telemetry.sampler import TimelineSample
 from repro.telemetry.tracing.decisions import DecisionRecord
 from repro.telemetry.tracing.spans import Span
-from repro.workloads.arrivals import MMPP, ArrivalSpec, DiurnalRate, TraceDriven
+from repro.workloads.arrivals import MMPP, ArrivalSpec, DiurnalRate, PoissonOpen, TraceDriven
 from repro.workloads.errors import WorkloadError
 from repro.workloads.spec import WorkloadSpec
 
@@ -326,10 +326,23 @@ def test_omitted_fields_are_left_out_only_at_their_default():
     assert "faults" in faulted and "workload" not in faulted
 
 
+def test_absent_keys_take_their_field_defaults():
+    # Hand-written spec files may leave out any field that has a default.
+    workload = from_dict(WorkloadSpec, {"arrivals": {"kind": "poisson", "rate": 0.1}})
+    assert workload == WorkloadSpec(arrivals=PoissonOpen(rate=0.1))
+    plan = from_dict(FaultPlan, {"site_outages": [{"site": 0, "at": 100, "duration": 5}]})
+    assert plan == FaultPlan(site_outages=(SiteOutage(site=0, at=100.0, duration=5.0),))
+    # An absent version reads as the current one.
+    config = {k: v for k, v in to_dict(paper_defaults()).items() if k != "format_version"}
+    assert from_dict(SystemConfig, config) == paper_defaults()
+
+
 @pytest.mark.parametrize(
     "cls,data,message",
     [
-        (SiteSpec, {"num_disks": 2}, "missing field 'disk_time'"),
+        (QueryClassSpec, {"name": "io", "num_reads": 8}, "missing field 'page_cpu_time'"),
+        (SystemConfig, {k: v for k, v in to_dict(paper_defaults()).items() if k != "site"},
+         "missing field 'site'"),
         (SiteSpec, {**to_dict(SiteSpec()), "cache": 1}, "unknown field"),
         (SystemConfig, {**to_dict(paper_defaults()), "format_version": 2}, "format_version"),
         (SiteSpec, {**to_dict(SiteSpec()), "mpl": 2.5}, "SiteSpec.mpl: expected an integer"),

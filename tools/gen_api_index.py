@@ -9,7 +9,8 @@ Run from the repository root::
 
 Exit codes: 0 = written / up to date, 1 = ``--check`` found the index
 stale, 2 = a repro module failed to import (the index would silently be
-missing modules, so this is fatal rather than skipped).
+missing modules, so this is fatal rather than skipped) or lists a name in
+``__all__`` that it does not define (``import *`` of it would fail).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def build_index() -> str:
 
     Raises:
         ImportFailure: When any repro module fails to import — skipping it
-            would produce a silently incomplete index.
+            would produce a silently incomplete index — or exports a name
+            it does not define.
     """
     lines = [
         "# API index",
@@ -86,7 +88,9 @@ def build_index() -> str:
             lines.append(summary)
         lines.append("")
         for export in exports:
-            obj = getattr(module, export, None)
+            if not hasattr(module, export):
+                raise ImportFailure(f"{name}.__all__ lists undefined name {export!r}")
+            obj = getattr(module, export)
             kind = (
                 "class"
                 if inspect.isclass(obj)
