@@ -118,8 +118,10 @@ def cache_key(
         "config": to_dict(config),
         "policy": policy,
         "seed": seed,
-        "warmup": warmup,
-        "duration": duration,
+        # float(): RunSettings(warmup=20) and RunSettings(warmup=20.0) are
+        # equal and must address the same entry.
+        "warmup": float(warmup),
+        "duration": float(duration),
         "system_kind": system_kind,
         "system_kwargs": {name: value for name, value in system_kwargs},
     }

@@ -120,6 +120,11 @@ class TestCacheKey:
         )
         assert _key(bumped) != _key(cfg)
 
+    def test_int_and_float_run_lengths_share_a_key(self):
+        # RunSettings(warmup=20) == RunSettings(warmup=20.0): equal run
+        # lengths must address the same cache entry.
+        assert _key(warmup=20, duration=150) == _key(warmup=20.0, duration=150.0)
+
     def test_system_kwargs_order_irrelevant(self):
         forward = _key(system_kwargs=(("a", 1), ("b", 2.0)))
         backward = _key(system_kwargs=(("b", 2.0), ("a", 1)))

@@ -23,42 +23,42 @@ SETTINGS = RunSettings(warmup=20, duration=150, base_seed=11)
 PINS = {
     "table8": (
         28,
-        "56bfb815356d7bce014966afdfc8321bffebb69bc3ca3651c27b4676d1708ea6",
+        "cb959d075c37c9e49860d5cfe3c124943e5d14fa617a69b7b108451d283a66ad",
         "239ec78612313a431097f136087c0e0f1492d4f30a8f1b2a3a7278f8f5ae5143",
     ),
     "table9": (
         20,
-        "17e92ed4af2f709facc093c710584034796721241b69956d7f499909fdc817b0",
+        "2428e55997609123b77c43ef7b0bc8eb332c2b48bc97cd0cee74a561105ab47d",
         "4440b0e1f11121acf473691889cc39dd05297e5a9c439407d65911da9a9fc616",
     ),
     "table10": (
         36,
-        "716e884db681325b475cad3557a79da1369ae8d0660b15c7ed98d457c66c73ae",
+        "453e85a5b7c6f1f5dd8223f1061ae76a914d6159bb1510c141db50d74aaa411d",
         "a594dac923a69b4144ef31af7338f0628e4c75f18448c706b4d15de5f2a786f6",
     ),
     "table11": (
         15,
-        "0148473e09126afde92ed3eacf1513ea2aa4491d1be485887e81f337144a00b1",
+        "cb719e20ab775907a59d67290a38ca6028454d641f22af167682a6a51b362957",
         "8f639f2f9770bc0c7f7afad935cf9861a64490565db56d6f09f6f16393959c53",
     ),
     "table12": (
         18,
-        "6b24a564c9efd1a53444f0dcbd9cf175bdbe376823baf91e698203f5d14dd09f",
+        "f747f970bc59e7371b8b1f69786cefb102636cdd14a41fbc933f75e82ec788c2",
         "f07ad4dbd74bd1ab0445699568cb956f54115c4e37444cdc259b42ad1241cef3",
     ),
     "msg": (
         12,
-        "811848d05e25c2dfbd76a52875f61c56c8e83d15d4c847aae9d1ad0cb2792347",
+        "776a5083ea0a3ac3b84021c0b6922f33c57bfb4ae91f536d812bd12185b57d8d",
         "a778e660c25434196bb54c60952fc3cf7cd2df168b14d9e4869e78e8eb82210b",
     ),
     "failures": (
         16,
-        "9eed29171b6f1af365c37b7b10ec9ee0cf3eb495080e669f3b60942595f547c0",
+        "375df552dfc8471d5eeda2a2f68db27da9e24d97a86f3e1213f0108e82d9a41c",
         "f0bd5ec8033f900279aaa1c5b509c30054b60dfafbc4b421b807f7c0784930e0",
     ),
     "open": (
         24,
-        "60182bc61ce0ba472b5da45fd42a45520f36ed0391b6a7214c5bd065eaf9380e",
+        "1a2f2072211de89eab34fe45b116e2637cca715e876b59c78e59b1b4b8413fcf",
         "f452111f6d9ae36b5df853010f2297b24fc4081eb720347edd05eed2b0ddeb13",
     ),
     "validation": (
@@ -68,32 +68,32 @@ PINS = {
     ),
     "ablation-stale": (
         8,
-        "f6f7a47b3e8b5e95d13ee36c61264f1b319236ef6c180371b0d7d8dcc2a1ff74",
+        "e4cf720b0610c69d5d3cafc3a22b6f694e60579449093bea6ba22930c77422d3",
         "4d57ca2a19c391adc23fefee8bf03aa682f35083c8c7151df5c5a481cbc2cc11",
     ),
     "ablation-disk": (
         6,
-        "5ae8964a37a73190443d293a58c3c2ecd69aede195708c4add29a2923e4addb5",
+        "93d8ced3e332e31a2f7dcaad918912c97ecce21906b31130941dadf364daf7b0",
         "3999a0bd64059e1386679ca0a98e019c346b7e6d77c0dd3bfbbb429056d121c2",
     ),
     "ablation-updates": (
         8,
-        "bf02c7ca472afba8c1b72ca5795cf7b77b0bc14a112f19a8059b3fc883608f06",
+        "d2513323569038b15280721ea6baa103118fb815669454b2486d67783f88c573",
         "ce5cd7afef5d277d9ba5283d7a00e0b4366c5f1206588eb53f8627ee8b00d870",
     ),
     "ablation-heterogeneous": (
         4,
-        "ec2fa5e9fb949576d03ca18a428350a57a36b3d12f737c262ecb307b9a636b6b",
+        "ba7e7e0904bf10551225a9195972e785e26c5ef45515753c8c84a9c0c53e50e7",
         "d78c9c47291d0f51461068b43e4f4cd91475fcf528d60d3f0db2f015c150f57d",
     ),
     "ablation-subnet": (
         20,
-        "31306c22566d79ad9c4d207154226e9c77844e30a6251a7dbe9fb7c7b53d4914",
+        "b2417c4096f63e5313bd918d893e1b768638a6a0def41bd11931c01047e83a48",
         "a19880919f84c938d8e8225325810aa41f5e790916acfe56833f49b33d832aff",
     ),
     "study-core": (
         10,
-        "01e9480ec37f4621bc3a5d0879c518feb79e8e08e73f8368ceee0b747c91c820",
+        "9fb8161b2db7bb43753f424ae28caa9e7f519fe67ccfc9cd7b4dafc635696214",
         "3a240d0dba9585f41b23b57727829e3fea14010b38092efcd41aaac803330351",
     ),
 }
