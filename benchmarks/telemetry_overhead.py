@@ -23,8 +23,9 @@ itself gated: a tracing session (query-lifecycle spans + allocation
 decision audit) must keep the simulation loop within
 ``--threshold-enabled`` percent (default 10%) of the disabled run, so
 new instrumentation can't quietly make observability expensive.  The
-collectors defer span pairing and regret scoring until results are
-read, so the gate measures exactly what tracing adds to the run itself;
+session only buffers events during the run and defers span pairing and
+regret scoring until results are read, so the gate measures exactly
+what tracing adds to the run itself;
 the post-run assembly/export cost is proportional to the trace size,
 like any other export.
 
@@ -64,8 +65,8 @@ print(time.perf_counter() - started)
 """
 
 #: Same workload with tracing attached (current tree only): the
-#: query-lifecycle span collector plus the allocation decision audit.
-#: ``events=False`` keeps the catch-all log out of the measurement —
+#: query-lifecycle spans plus the allocation decision audit.
+#: ``events=False`` keeps the event log out of the measurement —
 #: the gate isolates what *tracing* adds to the simulation loop.
 WORKLOAD_ENABLED = """
 import time

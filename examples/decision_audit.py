@@ -21,18 +21,19 @@ Run:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro import (
     DecisionRecord,
     DistributedDatabase,
+    RunReport,
     RunSpec,
     TelemetryConfig,
+    execute,
+    make_policy,
     paper_defaults,
     run,
 )
-from repro.policies.registry import make_policy
-from repro.telemetry.session import TelemetrySession
 
 POLICY = "BNQRD"
 SEED = 7
@@ -61,7 +62,7 @@ def regret_histogram(records: Sequence[DecisionRecord]) -> str:
     return "\n".join(lines)
 
 
-def audit_stale_run(refresh_interval: float) -> Tuple[object, Sequence[DecisionRecord]]:
+def audit_stale_run(refresh_interval: float) -> RunReport:
     """One stale-information run with a decision audit attached."""
     system = DistributedDatabase(
         paper_defaults(),
@@ -69,14 +70,12 @@ def audit_stale_run(refresh_interval: float) -> Tuple[object, Sequence[DecisionR
         seed=SEED,
         refresh_interval=refresh_interval,
     )
-    session = TelemetrySession(
-        system, TelemetryConfig(events=False, decisions=True)
+    spec = RunSpec(
+        warmup=WARMUP,
+        duration=DURATION,
+        telemetry=TelemetryConfig(events=False, decisions=True),
     )
-    system.run(warmup=WARMUP, duration=DURATION)
-    records = session.decisions
-    summary = session.decision_audit.summary()
-    session.close()
-    return summary, records
+    return execute(system, spec)
 
 
 def main() -> None:
@@ -102,7 +101,9 @@ def main() -> None:
 
     # --- the stale-information runs ------------------------------------
     for interval in REFRESH_INTERVALS:
-        stale_summary, records = audit_stale_run(interval)
+        stale = audit_stale_run(interval)
+        stale_summary = stale.results.decisions
+        assert stale_summary is not None
         print(f"{POLICY}, loads rebroadcast every {interval:.0f} time units:")
         print(
             f"  decisions={stale_summary.count}  "
@@ -111,7 +112,7 @@ def main() -> None:
             f"max={stale_summary.max_regret:.1f}  "
             f"mean staleness={stale_summary.mean_staleness:.1f}"
         )
-        print(regret_histogram(records))
+        print(regret_histogram(stale.decisions))
         print()
 
     print(

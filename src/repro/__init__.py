@@ -39,9 +39,9 @@ Subpackages:
   migration, subquery pipelines, stale load info, update queries,
   heterogeneous CPU speeds and partial replication — are mechanisms of
   :class:`DistributedDatabase` itself (keyword-only parameters).
-* :mod:`repro.telemetry` — typed event bus, metrics registry, timeline
-  sampler, exporters, query-lifecycle tracing, and the allocation
-  decision audit (see ``docs/telemetry.md``).
+* :mod:`repro.telemetry` — typed event bus, a session that buffers one
+  run's events, timeline sampler, exporters, query-lifecycle spans, and
+  the allocation decision audit (see ``docs/telemetry.md``).
 * :mod:`repro.faults` — deterministic fault injection: declarative
   :class:`FaultPlan`, degraded-mode query life cycle, availability
   metrics (see ``docs/faults.md``).
@@ -108,14 +108,11 @@ from repro.policies.base import AllocationPolicy
 from repro.policies.registry import available_policies, make_policy
 from repro.runner import RunReport, RunSpec, execute, run
 from repro.telemetry import (
-    DecisionAudit,
     DecisionRecord,
     DecisionSummary,
     EventBus,
-    EventLog,
     KernelProfiler,
     Span,
-    SpanCollector,
     SpanSummary,
     TelemetryConfig,
     TelemetrySession,
@@ -132,7 +129,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "DistributedDatabase",
@@ -168,13 +165,10 @@ __all__ = [
     "run",
     "execute",
     "EventBus",
-    "EventLog",
     "TelemetryConfig",
     "TelemetrySession",
     "Span",
-    "SpanCollector",
     "SpanSummary",
-    "DecisionAudit",
     "DecisionRecord",
     "DecisionSummary",
     "KernelProfiler",

@@ -233,9 +233,9 @@ class SystemResults:
         measured_time: Length of the measurement window.
         waiting_ci: Batch-means confidence interval for W̄ (None when too
             few observations were collected).
-        telemetry: Optional metrics-registry snapshot of the run, as a
-            sorted tuple of ``(name, value)`` pairs (see
-            :meth:`repro.telemetry.registry.MetricsRegistry.summary_pairs`).
+        telemetry: Optional telemetry summary of the run, as a sorted
+            tuple of ``(name, value)`` pairs (see
+            :meth:`repro.telemetry.session.TelemetrySession.summary`).
             ``None`` when the run collected no telemetry — note the cache
             stores results of telemetry-free runs, so cached entries
             always carry ``None`` here.

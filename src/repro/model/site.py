@@ -128,9 +128,9 @@ class DBSite:
             yield self.cpu_service(cpu_time)
             query.service_acquired += cpu_time
         query.finished_at = sim.now
-        # Opt-in (wants_type): catch-all event logs never see this, so
-        # pre-tracing event-stream digests stay byte-identical.
-        if bus.active and bus.wants_type(ServiceFinished):
+        # Opt-in: only span assembly subscribes to this, so event logs
+        # without spans keep their pre-tracing digests.
+        if bus.active and bus.wants(ServiceFinished):
             bus.emit(
                 ServiceFinished(
                     time=sim.now,

@@ -442,14 +442,13 @@ class DistributedDatabase:
     ) -> None:
         """Publish the decision-audit record for one allocation decision.
 
-        Opt-in via ``wants_type`` (like :class:`TraceMessage`): catch-all
-        subscribers never trigger construction, so existing event-stream
-        digests are unchanged and the extra load-board reads only happen
-        when a :class:`~repro.telemetry.tracing.decisions.DecisionAudit`
-        is attached.
+        Opt-in (like :class:`TraceMessage`): only a session with
+        ``TelemetryConfig(decisions=True)`` subscribes to it, so event
+        logs without decisions keep their digests and the extra
+        load-board reads only happen when decisions are audited.
         """
         bus = self.sim.bus
-        if not bus.active or not bus.wants_type(AllocationDecided):
+        if not bus.active or not bus.wants(AllocationDecided):
             return
         seen = view.loads.query_distribution()
         true = self.load_board.query_distribution()

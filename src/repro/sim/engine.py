@@ -176,7 +176,7 @@ class Simulator:
         self.now = event.time
         self._event_count += 1
         # Guarded emit: TraceMessage is high-volume, so it is produced only
-        # for *explicit* subscribers (bus.trace_wanted), never catch-alls.
+        # for subscribers that name it (bus.trace_wanted).
         if self.bus.trace_wanted and event.label is not None:
             self.bus.emit(TraceMessage(time=self.now, label=event.label))
         event.callback()

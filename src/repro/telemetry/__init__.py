@@ -1,4 +1,4 @@
-"""Typed telemetry for the simulation: events, metrics, timelines.
+"""Typed telemetry for the simulation: events, summaries, timelines.
 
 The package gives every run three machine-readable observation surfaces
 (see ``docs/telemetry.md`` for the full narrative):
@@ -7,28 +7,25 @@ The package gives every run three machine-readable observation surfaces
   :mod:`repro.telemetry.events`) — frozen dataclass events emitted by
   the kernel and the model, with subscribe-by-type dispatch and a
   guarded-emit idiom that costs nothing when disabled;
-* a **metrics registry** (:mod:`repro.telemetry.registry`) — named
-  counters/gauges/histograms over the existing monitors;
 * a **timeline sampler** (:mod:`repro.telemetry.sampler`) — per-site
   CPU/disk queue lengths, utilizations, and load-information staleness
   on a fixed simulated-time cadence;
-
 * a **tracing layer** (:mod:`repro.telemetry.tracing`) — query-lifecycle
   spans with deterministic IDs plus an allocation decision audit
-  (staleness and ex-post regret per ``AllocationPolicy.select``), with
-  byte-deterministic Chrome-trace/JSONL exporters;
+  (staleness and ex-post regret per ``AllocationPolicy.select``), both
+  pure functions of the event list, with byte-deterministic
+  Chrome-trace/JSONL exporters;
 
 plus **exporters** (:mod:`repro.telemetry.exporters`) for JSONL event
 logs and CSV/JSON timelines, a **session** façade
-(:mod:`repro.telemetry.session`) that wires everything to one system,
+(:mod:`repro.telemetry.session`) that keeps one run's events in one
+buffer and derives the event log, spans, decisions and summary from it,
 and a **kernel self-profiler** (:mod:`repro.telemetry.profile`,
 ``python -m repro.telemetry.profile``) attributing wall time to engine
-phases.
-"""
+phases."""
 
-from repro.telemetry.bus import EventBus, EventLog, Handler, Subscription
+from repro.telemetry.bus import EventBus, Handler, Subscription
 from repro.telemetry.events import (
-    EVENT_REGISTRY,
     EVENT_TYPES,
     AllocationDecided,
     LoadBoardUpdated,
@@ -65,15 +62,6 @@ from repro.telemetry.exporters import (
     write_timeline_csv,
     write_timeline_json,
 )
-from repro.telemetry.registry import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    Metric,
-    MetricNamespace,
-    MetricsRegistry,
-    merge_snapshots,
-)
 from repro.telemetry.sampler import (
     SAMPLE_PRIORITY,
     TIMELINE_FIELDS,
@@ -81,15 +69,19 @@ from repro.telemetry.sampler import (
     TimelineSampler,
 )
 from repro.telemetry.profile import KernelProfiler, PhaseReport
-from repro.telemetry.session import TelemetryConfig, TelemetrySession
+from repro.telemetry.session import (
+    LOGGED_EVENT_TYPES,
+    TelemetryConfig,
+    TelemetrySession,
+)
 from repro.telemetry.tracing import (
+    SPAN_EVENT_TYPES,
     TRACE_FORMAT_VERSION,
-    DecisionAudit,
     DecisionRecord,
     DecisionSummary,
     Span,
-    SpanCollector,
     SpanSummary,
+    assemble_spans,
     decision_cost,
     decisions_from_jsonl,
     decisions_to_jsonl,
@@ -97,6 +89,7 @@ from repro.telemetry.tracing import (
     read_spans_chrome,
     record_from_event,
     span_id,
+    summarize_decisions,
     spans_from_chrome_json,
     spans_to_chrome_json,
     write_decisions_jsonl,
@@ -106,7 +99,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     # bus
     "EventBus",
-    "EventLog",
     "Handler",
     "Subscription",
     # events
@@ -131,15 +123,6 @@ __all__ = [
     "AllocationDecided",
     "ServiceFinished",
     "EVENT_TYPES",
-    "EVENT_REGISTRY",
-    # registry
-    "Metric",
-    "CounterMetric",
-    "GaugeMetric",
-    "HistogramMetric",
-    "MetricsRegistry",
-    "MetricNamespace",
-    "merge_snapshots",
     # sampler
     "SAMPLE_PRIORITY",
     "TIMELINE_FIELDS",
@@ -159,19 +142,21 @@ __all__ = [
     "write_timeline_json",
     "read_timeline_json",
     # session
+    "LOGGED_EVENT_TYPES",
     "TelemetryConfig",
     "TelemetrySession",
     # tracing
     "TRACE_FORMAT_VERSION",
+    "SPAN_EVENT_TYPES",
     "Span",
-    "SpanCollector",
     "SpanSummary",
+    "assemble_spans",
     "span_id",
-    "DecisionAudit",
     "DecisionRecord",
     "DecisionSummary",
     "decision_cost",
     "record_from_event",
+    "summarize_decisions",
     "spans_to_chrome_json",
     "spans_from_chrome_json",
     "write_spans_chrome",

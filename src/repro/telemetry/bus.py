@@ -14,12 +14,12 @@ the property the disabled-telemetry benchmark
 (``benchmarks/telemetry_overhead.py``) pins below 3%.
 
 Dispatch is by *exact* event type (no ``isinstance`` walk): a subscriber
-for ``QueryCompleted`` sees only ``QueryCompleted`` events.  Catch-all
-subscribers (:meth:`EventBus.subscribe_all`) receive every emitted event;
-they make :meth:`wants` answer ``True`` for all types **except** the
-opt-in high-volume :class:`~repro.telemetry.events.TraceMessage` kernel
-events, which are only produced for explicit subscribers (see
-:meth:`wants_type`).
+for ``QueryCompleted`` sees only ``QueryCompleted`` events, and a
+collector that wants many types subscribes to each.  That keeps the
+opt-in event types (:class:`~repro.telemetry.events.TraceMessage`,
+:class:`~repro.telemetry.events.ServiceFinished`,
+:class:`~repro.telemetry.events.AllocationDecided`) unconstructed unless
+something names them.
 
 Determinism: subscribers are invoked in subscription order, synchronously,
 on the emitting thread.  The bus never reorders or buffers.
@@ -27,7 +27,7 @@ on the emitting thread.  The bus never reorders or buffers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.telemetry.events import TelemetryEvent, TraceMessage
 
@@ -40,23 +40,20 @@ class Subscription:
     """Token returned by :meth:`EventBus.subscribe`; pass to unsubscribe.
 
     Attributes:
-        event_type: The subscribed type, or ``None`` for catch-all.
+        event_type: The subscribed type.
         handler: The registered callable.
     """
 
     __slots__ = ("event_type", "handler", "active")
 
-    def __init__(
-        self, event_type: Optional[Type[TelemetryEvent]], handler: Handler
-    ) -> None:
+    def __init__(self, event_type: Type[TelemetryEvent], handler: Handler) -> None:
         self.event_type = event_type
         self.handler = handler
         self.active = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = self.event_type.__name__ if self.event_type else "*"
         state = "" if self.active else " inactive"
-        return f"<Subscription {kind}{state}>"
+        return f"<Subscription {self.event_type.__name__}{state}>"
 
 
 class EventBus:
@@ -66,9 +63,9 @@ class EventBus:
         active: ``True`` while at least one subscription exists.  A plain
             attribute (not a property) so hot kernel paths can test it at
             attribute-load cost.
-        trace_wanted: ``True`` while an *explicit*
+        trace_wanted: ``True`` while a
             :class:`~repro.telemetry.events.TraceMessage` subscriber
-            exists (``wants_type(TraceMessage)`` as a plain attribute).
+            exists (``wants(TraceMessage)`` as a plain attribute).
             The engine's event loop keys its fast/slow path off this, so
             an un-traced run never tests the subscription tables at all.
         emitted: Total events dispatched so far.
@@ -81,7 +78,6 @@ class EventBus:
         # type -> immutable handler snapshot (rebuilt on (un)subscribe so
         # emit() can iterate without copying).
         self._by_type: Dict[Type[TelemetryEvent], Tuple[Handler, ...]] = {}
-        self._all: Tuple[Handler, ...] = ()
         self._subscriptions: List[Subscription] = []
 
     # ------------------------------------------------------------------
@@ -102,13 +98,6 @@ class EventBus:
         self._rebuild()
         return subscription
 
-    def subscribe_all(self, handler: Handler) -> Subscription:
-        """Receive every emitted event regardless of type."""
-        subscription = Subscription(None, handler)
-        self._subscriptions.append(subscription)
-        self._rebuild()
-        return subscription
-
     def unsubscribe(self, subscription: Subscription) -> None:
         """Retract a subscription (idempotent)."""
         if subscription.active:
@@ -120,17 +109,12 @@ class EventBus:
 
     def _rebuild(self) -> None:
         by_type: Dict[Type[TelemetryEvent], List[Handler]] = {}
-        catch_all: List[Handler] = []
         for subscription in self._subscriptions:
-            if subscription.event_type is None:
-                catch_all.append(subscription.handler)
-            else:
-                by_type.setdefault(subscription.event_type, []).append(
-                    subscription.handler
-                )
+            by_type.setdefault(subscription.event_type, []).append(
+                subscription.handler
+            )
         self._by_type = {kind: tuple(handlers) for kind, handlers in by_type.items()}
-        self._all = tuple(catch_all)
-        self.active = bool(self._by_type or self._all)
+        self.active = bool(self._by_type)
         self.trace_wanted = TraceMessage in self._by_type
 
     # ------------------------------------------------------------------
@@ -142,24 +126,12 @@ class EventBus:
         Emitters call this *before* constructing the event so a disabled
         bus costs one membership test and no allocation.
         """
-        return event_type in self._by_type or bool(self._all)
-
-    def wants_type(self, event_type: Type[TelemetryEvent]) -> bool:
-        """Whether an *explicit* subscriber for *event_type* exists.
-
-        Unlike :meth:`wants`, catch-all subscribers do not count.  The
-        kernel uses this for the high-volume
-        :class:`~repro.telemetry.events.TraceMessage` stream so that a
-        bulk event log does not drown in per-event trace records.
-        """
         return event_type in self._by_type
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Dispatch *event* to its exact-type and catch-all subscribers."""
+        """Dispatch *event* to the subscribers of its exact type."""
         self.emitted += 1
         for handler in self._by_type.get(type(event), ()):
-            handler(event)
-        for handler in self._all:
             handler(event)
 
     # ------------------------------------------------------------------
@@ -177,64 +149,4 @@ class EventBus:
         )
 
 
-class EventLog:
-    """A bounded catch-all collector of emitted events.
-
-    Subscribes to every event on a bus and retains them in emission order.
-    With a *capacity*, the oldest events are dropped first (the ``dropped``
-    counter records how many).
-
-    Typical use (managed automatically by
-    :class:`~repro.telemetry.session.TelemetrySession`)::
-
-        log = EventLog()
-        log.attach(sim.bus)
-        ...run...
-        write_events_jsonl(log.events, "events.jsonl")
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.dropped = 0
-        self._events: List[TelemetryEvent] = []
-        self._subscription: Optional[Subscription] = None
-        self._bus: Optional[EventBus] = None
-
-    def attach(self, bus: EventBus) -> None:
-        """Start collecting from *bus* (at most one bus at a time)."""
-        if self._subscription is not None:
-            raise ValueError("EventLog is already attached")
-        self._subscription = bus.subscribe_all(self._collect)
-        self._bus = bus
-
-    def detach(self) -> None:
-        """Stop collecting (idempotent); retained events stay available."""
-        if self._subscription is not None and self._bus is not None:
-            self._bus.unsubscribe(self._subscription)
-            self._subscription = None
-            self._bus = None
-
-    def _collect(self, event: TelemetryEvent) -> None:
-        events = self._events
-        events.append(event)
-        if self.capacity is not None and len(events) > self.capacity:
-            excess = len(events) - self.capacity
-            del events[0:excess]
-            self.dropped += excess
-
-    @property
-    def events(self) -> Tuple[TelemetryEvent, ...]:
-        """The retained events, oldest first."""
-        return tuple(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-
-
-__all__ = ["Handler", "Subscription", "EventBus", "EventLog"]
+__all__ = ["Handler", "Subscription", "EventBus"]

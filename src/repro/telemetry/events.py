@@ -52,7 +52,7 @@ Event                   Emitted when / by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Tuple, Type, Union
+from typing import ClassVar, Tuple, Type, Union
 
 @dataclass(frozen=True, slots=True)
 class TelemetryEvent:
@@ -146,8 +146,8 @@ class ServiceStarted(TelemetryEvent):
 class QueryCompleted(TelemetryEvent):
     """A query's results arrived back home (the full life-cycle record).
 
-    Carries every life-cycle timestamp so consumers (e.g.
-    :class:`repro.sim.trace.QueryTracer`) need no access to model objects.
+    Carries every life-cycle timestamp, so a per-query analysis (see
+    ``examples/trace_analysis.py``) needs no access to model objects.
     ``time`` is the completion instant.
     """
 
@@ -187,9 +187,9 @@ class TraceMessage(TelemetryEvent):
     """A labelled kernel event fired (the old ``trace`` hook, typed).
 
     High-volume: one per labelled event on the future-event list.  The
-    engine only constructs these when a subscriber asked for
-    ``TraceMessage`` specifically (catch-all subscribers do not trigger
-    them), so bulk event logging stays affordable.
+    engine only constructs these when something subscribed to
+    ``TraceMessage`` by name (a session's event log does not), so bulk
+    event logging stays affordable.
     """
 
     label: str
@@ -305,9 +305,10 @@ class AllocationDecided(TelemetryEvent):
     being placed (the stage, or the reads left).
 
     Opt-in like :class:`TraceMessage`: the system only constructs these
-    when a subscriber asked for ``AllocationDecided`` specifically
-    (``bus.wants_type``), so catch-all event logs — and the golden event
-    streams pinned from them — never see one.
+    when something subscribed to ``AllocationDecided`` by name (a session
+    with ``TelemetryConfig(decisions=True)``), so event logs without
+    decisions — and the golden event streams pinned from them — never
+    see one.
 
     Event fields are restricted to primitives, so the per-site load
     vectors are encoded as comma-joined integer strings (``"3,1,0"``);
@@ -356,8 +357,8 @@ class ServiceFinished(TelemetryEvent):
 
     The closing bracket of :class:`ServiceStarted` (which has no
     end-of-service counterpart in the original taxonomy).  Opt-in like
-    :class:`AllocationDecided`: only constructed for explicit
-    subscribers, so existing catch-all event streams are unchanged.
+    :class:`AllocationDecided`: only constructed for subscribers that
+    name it (span assembly), so event logs without spans are unchanged.
 
     Attributes:
         qid: The query that finished.
@@ -394,11 +395,6 @@ EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = (
     ServiceFinished,
 )
 
-#: Event name (the ``"event"`` tag of a record) -> event class.
-EVENT_REGISTRY: Dict[str, Type[TelemetryEvent]] = {
-    cls.__name__: cls for cls in EVENT_TYPES
-}
-
 #: Any one event: the tagged union an event record decodes as
 #: (``repro.codec.from_dict(AnyEvent, record)``).
 AnyEvent = Union[EVENT_TYPES]  # type: ignore[valid-type]
@@ -426,6 +422,5 @@ __all__ = [
     "AllocationDecided",
     "ServiceFinished",
     "EVENT_TYPES",
-    "EVENT_REGISTRY",
     "AnyEvent",
 ]

@@ -282,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--warmup", type=float, default=500.0)
     parser.add_argument("--duration", type=float, default=5000.0)
     parser.add_argument(
-        "--events", action="store_true", help="attach a catch-all event log"
+        "--events", action="store_true", help="attach the session's event log"
     )
     parser.add_argument(
         "--spans", action="store_true", help="enable query-lifecycle tracing"

@@ -1,22 +1,31 @@
 """One-stop telemetry wiring for a simulation run.
 
-:class:`TelemetrySession` assembles the subsystem's parts — event log,
-metrics registry, timeline sampler — around one
-:class:`~repro.model.system.DistributedDatabase` and drives their life
-cycle purely through the event bus:
+:class:`TelemetrySession` keeps **one** ordered buffer of the events a
+run emits, and derives everything else from it:
 
-* it subscribes to :class:`~repro.telemetry.events.RunStarted` to learn
-  the measurement horizon, and to
-  :class:`~repro.telemetry.events.WarmupEnded` to arm the timeline
-  sampler *after* statistics truncation (so the baseline sample reads
-  post-reset busy integrals and sampled utilizations integrate exactly
-  to the run's reported figures);
-* with ``config.events`` it attaches a catch-all
-  :class:`~repro.telemetry.bus.EventLog` plus per-type
-  ``events.<Type>`` counters;
-* it binds every site's CPU/disk monitors and the run's query tallies
-  into a :class:`~repro.telemetry.registry.MetricsRegistry` under the
-  ``site.<i>.<resource>.<quantity>`` convention.
+* the event log (``events``) is the buffer itself;
+* spans come from :func:`~repro.telemetry.tracing.spans.assemble_spans`,
+  decision records from
+  :func:`~repro.telemetry.tracing.decisions.record_from_event`;
+* the ``events.<Type>`` counters of :meth:`TelemetrySession.summary`
+  count the buffer by type.
+
+The buffer subscribes ``list.append`` by exact type to the union of what
+the config asks for: every non-opt-in event type with ``events``,
+:data:`~repro.telemetry.tracing.spans.SPAN_EVENT_TYPES` with ``spans``,
+and ``AllocationDecided`` with ``decisions``.  The opt-in
+``ServiceFinished`` and ``AllocationDecided`` are only emitted when
+spans or decisions name them, and ``TraceMessage`` never is.
+
+Two more bus handlers drive the timeline sampler: the session reads the
+measurement horizon from
+:class:`~repro.telemetry.events.RunStarted` and arms the sampler at
+:class:`~repro.telemetry.events.WarmupEnded`, *after* statistics
+truncation (so the baseline sample reads post-reset busy integrals and
+sampled utilizations integrate exactly to the run's reported figures).
+The ``site.*`` and ``queries.*`` statistics of the summary are read from
+every site's CPU/disk monitors and the run's query tallies under the
+``site.<i>.<resource>.<quantity>`` convention.
 
 Because everything rides on the bus, ``DistributedDatabase.run`` needs
 no telemetry parameter: construct the session before ``run()``, read
@@ -27,23 +36,46 @@ no telemetry parameter: construct the session before ``run()``, read
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
-from repro.telemetry.bus import EventLog, Subscription
+from repro.sim.monitor import Tally, TimeWeighted
+from repro.telemetry.bus import Subscription
 from repro.telemetry.events import (
+    EVENT_TYPES,
+    AllocationDecided,
     RunStarted,
+    ServiceFinished,
     TelemetryEvent,
+    TraceMessage,
     WarmupEnded,
 )
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sampler import TimelineSample, TimelineSampler
-from repro.telemetry.tracing.decisions import DecisionAudit, DecisionRecord
-from repro.telemetry.tracing.spans import Span, SpanCollector
+from repro.telemetry.tracing.decisions import (
+    DecisionRecord,
+    DecisionSummary,
+    record_from_event,
+    summarize_decisions,
+)
+from repro.telemetry.tracing.spans import (
+    SPAN_EVENT_TYPES,
+    Span,
+    SpanSummary,
+    assemble_spans,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.metrics import SystemResults
     from repro.model.system import DistributedDatabase
+
+#: The event types ``TelemetryConfig(events=True)`` logs: all but the
+#: opt-in ones, which only spans, decisions or a kernel trace ask for.
+LOGGED_EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = tuple(
+    kind
+    for kind in EVENT_TYPES
+    if kind not in (TraceMessage, ServiceFinished, AllocationDecided)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,21 +83,19 @@ class TelemetryConfig:
     """What a :class:`TelemetrySession` should collect.
 
     Attributes:
-        events: Keep a full event log (and per-type counters).
+        events: Keep the full event log (and per-type counters).
         sample_interval: Timeline sampling cadence in simulated time;
             ``0.0`` disables the timeline sampler.
-        event_capacity: Bound on retained events (oldest dropped first);
-            ``None`` retains everything.
         spans: Assemble query-lifecycle spans
-            (:class:`~repro.telemetry.tracing.spans.SpanCollector`).
+            (:func:`~repro.telemetry.tracing.spans.assemble_spans`).
+            Arms the opt-in ``ServiceFinished`` emission.
         decisions: Audit every allocation decision
-            (:class:`~repro.telemetry.tracing.decisions.DecisionAudit`).
+            (:func:`~repro.telemetry.tracing.decisions.record_from_event`).
             Arms the opt-in ``AllocationDecided`` emission.
     """
 
     events: bool = True
     sample_interval: float = 0.0
-    event_capacity: Optional[int] = None
     spans: bool = False
     decisions: bool = False
 
@@ -74,8 +104,18 @@ class TelemetryConfig:
             raise ValueError(
                 f"sample_interval must be >= 0, got {self.sample_interval}"
             )
-        if self.event_capacity is not None and self.event_capacity < 1:
-            raise ValueError("event_capacity must be >= 1 (or None)")
+
+
+@dataclass(frozen=True)
+class _Derived:
+    """What one buffer length derives to (see ``_derive``)."""
+
+    length: int
+    spans: Tuple[Span, ...]
+    span_summary: Optional[SpanSummary]
+    decisions: Tuple[DecisionRecord, ...]
+    decision_summary: Optional[DecisionSummary]
+    counts: Dict[str, float]
 
 
 class TelemetrySession:
@@ -87,8 +127,6 @@ class TelemetrySession:
         config: What to collect (default: events only).
 
     Attributes:
-        registry: The run's :class:`MetricsRegistry`.
-        log: The event log, or ``None`` when events are disabled.
         sampler: The timeline sampler, or ``None`` when disabled.
     """
 
@@ -99,43 +137,36 @@ class TelemetrySession:
     ) -> None:
         self.system = system
         self.config = config
-        self.registry = MetricsRegistry()
-        self._subscriptions: List[Subscription] = []
-        self._counters: Dict[str, int] = {}
+        self._buffer: List[TelemetryEvent] = []
+        self._derived: Optional[_Derived] = None
         self._end_time: Optional[float] = None
-        self._closed = False
-
-        bus = system.sim.bus
-        self.log: Optional[EventLog] = None
-        if config.events:
-            self.log = EventLog(capacity=config.event_capacity)
-            self.log.attach(bus)
-            self._subscriptions.append(bus.subscribe_all(self._count_event))
 
         self.sampler: Optional[TimelineSampler] = None
         if config.sample_interval > 0:
             self.sampler = TimelineSampler(system, config.sample_interval)
 
-        self.span_collector: Optional[SpanCollector] = None
+        buffered: List[Type[TelemetryEvent]] = []
+        if config.events:
+            buffered.extend(LOGGED_EVENT_TYPES)
         if config.spans:
-            self.span_collector = SpanCollector(bus)
-
-        self.decision_audit: Optional[DecisionAudit] = None
+            buffered.extend(SPAN_EVENT_TYPES)
         if config.decisions:
-            self.decision_audit = DecisionAudit(bus)
-
+            buffered.append(AllocationDecided)
+        bus = system.sim.bus
+        # The hot-path handler is the buffer's own append: each wanted
+        # event costs one list append during the run, nothing more.
+        append = self._buffer.append
+        self._subscriptions: List[Subscription] = [
+            bus.subscribe(kind, append) for kind in dict.fromkeys(buffered)
+        ]
         self._subscriptions.append(bus.subscribe(RunStarted, self._on_run_started))
         self._subscriptions.append(
             bus.subscribe(WarmupEnded, self._on_warmup_ended)
         )
-        self._bind_monitors()
 
     # ------------------------------------------------------------------
     # Bus handlers
     # ------------------------------------------------------------------
-    def _count_event(self, event: TelemetryEvent) -> None:
-        self.registry.counter(f"events.{event.name}").inc()
-
     def _on_run_started(self, event: TelemetryEvent) -> None:
         assert isinstance(event, RunStarted)
         self._end_time = event.time + event.warmup + event.duration
@@ -154,33 +185,52 @@ class TelemetrySession:
         sampler.start(end_time)
 
     # ------------------------------------------------------------------
-    # Registry bindings
+    # Derived views of the buffer
     # ------------------------------------------------------------------
-    def _bind_monitors(self) -> None:
-        registry = self.registry
-        for site in self.system.sites:
-            ns = registry.scoped(f"site.{site.index}")
-            ns.bind_gauge("cpu.busy", site.cpu.busy)
-            ns.bind_gauge("cpu.queue", site.cpu.population)
-            for position, disk in enumerate(site.disks):
-                disk_ns = ns.scoped(f"disk.{position}")
-                disk_ns.bind_gauge("busy", disk.busy)
-                disk_ns.bind_gauge("queue", disk.population)
-        metrics = self.system.metrics
-        queries = registry.scoped("queries")
-        queries.bind_histogram("waiting", metrics.waiting)
-        queries.bind_histogram("response", metrics.response)
-        queries.bind_histogram("normalized", metrics.normalized_waiting)
+    def _derive(self) -> _Derived:
+        """Spans, decisions and event counts of the buffer.
 
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
+        Assembled once per buffer length: after the run, ``merge()``,
+        ``RunReport`` and the exports all share one assembly.
+        """
+        buffer = self._buffer
+        derived = self._derived
+        if derived is not None and derived.length == len(buffer):
+            return derived
+        config = self.config
+        spans: Tuple[Span, ...] = ()
+        span_summary = None
+        if config.spans:
+            spans, span_summary = assemble_spans(buffer)
+        decisions: Tuple[DecisionRecord, ...] = ()
+        decision_summary = None
+        if config.decisions:
+            decisions = tuple(
+                record_from_event(event)
+                for event in buffer
+                if isinstance(event, AllocationDecided)
+            )
+            decision_summary = summarize_decisions(decisions)
+        counts: Dict[str, float] = {}
+        if config.events:
+            for kind, count in Counter(map(type, buffer)).items():
+                counts[f"events.{kind.__name__}"] = float(count)
+        derived = self._derived = _Derived(
+            length=len(buffer),
+            spans=spans,
+            span_summary=span_summary,
+            decisions=decisions,
+            decision_summary=decision_summary,
+            counts=counts,
+        )
+        return derived
+
     @property
     def events(self) -> Tuple[TelemetryEvent, ...]:
-        """The retained event stream (empty when events are disabled)."""
-        if self.log is None:
+        """The event log in emission order (empty when events are off)."""
+        if not self.config.events:
             return ()
-        return self.log.events
+        return tuple(self._buffer)
 
     @property
     def timeline(self) -> Tuple[TimelineSample, ...]:
@@ -191,21 +241,24 @@ class TelemetrySession:
 
     @property
     def spans(self) -> Tuple[Span, ...]:
-        """The collected spans (empty when span tracing is disabled)."""
-        if self.span_collector is None:
-            return ()
-        return self.span_collector.spans
+        """The assembled spans (empty when span tracing is disabled)."""
+        return self._derive().spans
 
     @property
     def decisions(self) -> Tuple[DecisionRecord, ...]:
         """The decision audit (empty when auditing is disabled)."""
-        if self.decision_audit is None:
-            return ()
-        return self.decision_audit.records
+        return self._derive().decisions
 
     def summary(self) -> Dict[str, float]:
-        """The registry snapshot: sorted ``{"name.stat": value}``."""
-        return self.registry.snapshot()
+        """The run's statistics as sorted ``{"name.stat": value}``.
+
+        ``events.<Type>`` counts the event log by type (only when events
+        are on); the ``site.*`` and ``queries.*`` entries read the
+        system's monitors (see :func:`_monitor_stats`).
+        """
+        flat = dict(self._derive().counts)
+        flat.update(_monitor_stats(self.system))
+        return dict(sorted(flat.items()))
 
     def merge(self, results: "SystemResults") -> "SystemResults":
         """Return *results* with the telemetry summary folded in.
@@ -213,11 +266,12 @@ class TelemetrySession:
         When span tracing or the decision audit is enabled, their
         roll-ups ride along as ``results.spans`` / ``results.decisions``.
         """
-        results = replace(results, telemetry=self.registry.summary_pairs())
-        if self.span_collector is not None:
-            results = replace(results, spans=self.span_collector.summary())
-        if self.decision_audit is not None:
-            results = replace(results, decisions=self.decision_audit.summary())
+        results = replace(results, telemetry=tuple(self.summary().items()))
+        derived = self._derive()
+        if derived.span_summary is not None:
+            results = replace(results, spans=derived.span_summary)
+        if derived.decision_summary is not None:
+            results = replace(results, decisions=derived.decision_summary)
         return results
 
     # ------------------------------------------------------------------
@@ -225,16 +279,7 @@ class TelemetrySession:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Unsubscribe from the bus (idempotent); results stay readable."""
-        if self._closed:
-            return
-        self._closed = True
         bus = self.system.sim.bus
-        if self.log is not None:
-            self.log.detach()
-        if self.span_collector is not None:
-            self.span_collector.close()
-        if self.decision_audit is not None:
-            self.decision_audit.close()
         for subscription in self._subscriptions:
             bus.unsubscribe(subscription)
         self._subscriptions.clear()
@@ -248,8 +293,45 @@ class TelemetrySession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TelemetrySession events={len(self.events)} "
-            f"samples={len(self.timeline)} metrics={len(self.registry)}>"
+            f"samples={len(self.timeline)}>"
         )
 
 
-__all__ = ["TelemetryConfig", "TelemetrySession"]
+def _monitor_stats(system: "DistributedDatabase") -> Dict[str, float]:
+    """Every site's CPU/disk gauges and the run's query tallies.
+
+    A gauge (:class:`TimeWeighted`) reports ``value``/``avg``/``max``; a
+    tally (:class:`Tally`) reports ``count``/``mean``/``stdev`` plus
+    ``min``/``max`` once it has observations.  Keys are
+    ``<name>.<stat>``, e.g. ``site.0.disk.1.queue.avg``.
+    """
+    stats: Dict[str, float] = {}
+
+    def gauge(name: str, monitor: TimeWeighted) -> None:
+        stats[f"{name}.value"] = float(monitor.value)
+        stats[f"{name}.avg"] = float(monitor.time_average)
+        stats[f"{name}.max"] = float(monitor.maximum)
+
+    def tally(name: str, monitor: Tally) -> None:
+        stats[f"{name}.count"] = float(monitor.count)
+        stats[f"{name}.mean"] = float(monitor.mean)
+        stats[f"{name}.stdev"] = float(monitor.stdev)
+        if monitor.count:
+            stats[f"{name}.min"] = float(monitor.minimum)
+            stats[f"{name}.max"] = float(monitor.maximum)
+
+    for site in system.sites:
+        prefix = f"site.{site.index}"
+        gauge(f"{prefix}.cpu.busy", site.cpu.busy)
+        gauge(f"{prefix}.cpu.queue", site.cpu.population)
+        for position, disk in enumerate(site.disks):
+            gauge(f"{prefix}.disk.{position}.busy", disk.busy)
+            gauge(f"{prefix}.disk.{position}.queue", disk.population)
+    metrics = system.metrics
+    tally("queries.waiting", metrics.waiting)
+    tally("queries.response", metrics.response)
+    tally("queries.normalized", metrics.normalized_waiting)
+    return stats
+
+
+__all__ = ["LOGGED_EVENT_TYPES", "TelemetryConfig", "TelemetrySession"]

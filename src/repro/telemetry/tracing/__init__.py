@@ -15,20 +15,22 @@ Two observation surfaces on top of the typed event bus (see
   Chrome trace-event / Perfetto JSON for spans, JSONL for decision
   records.
 
-Both collectors subscribe to their event types *explicitly*, which is
-what arms the opt-in ``wants_type``-guarded emissions
-(:class:`~repro.telemetry.events.AllocationDecided`,
-:class:`~repro.telemetry.events.ServiceFinished`): with no collector
-attached the instrumented sites cost one attribute test and construct
-nothing, and catch-all event logs never see the opt-in events at all.
+Spans and decision records are pure functions of a run's ordered event
+list (:func:`assemble_spans`, :func:`record_from_event`,
+:func:`summarize_decisions`).  :class:`~repro.telemetry.session.TelemetrySession`
+buffers the events during the run; subscribing to the opt-in types by
+name (:class:`~repro.telemetry.events.AllocationDecided`,
+:class:`~repro.telemetry.events.ServiceFinished`) is what makes the model
+emit them, so without spans or decisions the instrumented sites cost one
+membership test and construct nothing.
 """
 
 from repro.telemetry.tracing.decisions import (
-    DecisionAudit,
     DecisionRecord,
     DecisionSummary,
     decision_cost,
     record_from_event,
+    summarize_decisions,
 )
 from repro.telemetry.tracing.export import (
     TRACE_FORMAT_VERSION,
@@ -42,24 +44,26 @@ from repro.telemetry.tracing.export import (
     write_spans_chrome,
 )
 from repro.telemetry.tracing.spans import (
+    SPAN_EVENT_TYPES,
     Span,
-    SpanCollector,
     SpanSummary,
+    assemble_spans,
     span_id,
 )
 
 __all__ = [
     # spans
+    "SPAN_EVENT_TYPES",
     "Span",
-    "SpanCollector",
     "SpanSummary",
+    "assemble_spans",
     "span_id",
     # decisions
-    "DecisionAudit",
     "DecisionRecord",
     "DecisionSummary",
     "decision_cost",
     "record_from_event",
+    "summarize_decisions",
     # export
     "TRACE_FORMAT_VERSION",
     "spans_to_chrome_json",

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Sequence, Tuple
 
-from repro.telemetry.bus import EventBus, Subscription
-from repro.telemetry.events import AllocationDecided, TelemetryEvent
+from repro.telemetry.events import AllocationDecided
 
 
 def decision_cost(
@@ -123,14 +122,15 @@ def record_from_event(event: AllocationDecided) -> DecisionRecord:
     true_loads = _decode(event.true_loads)
     candidates = _decode(event.candidates)
     home = event.home_site
-    est_service = event.est_service
-    remote_penalty = event.est_transfer + event.est_return
 
     def cost_at(site: int) -> float:
-        cost = (true_loads[site] + 1) * est_service
-        if site != home:
-            cost += remote_penalty
-        return cost
+        return decision_cost(
+            true_loads[site],
+            event.est_service,
+            event.est_transfer,
+            event.est_return,
+            remote=site != home,
+        )
 
     cost_chosen = cost_at(event.chosen_site)
     # min over (cost, site): ties break toward the lowest site index.
@@ -186,91 +186,39 @@ class DecisionSummary:
     optimal_fraction: float
 
 
-class DecisionAudit:
-    """Collect :class:`DecisionRecord` for every allocation decision.
+def summarize_decisions(records: Sequence[DecisionRecord]) -> DecisionSummary:
+    """Roll audited decisions up into a :class:`DecisionSummary`.
 
-    Subscribing explicitly to ``AllocationDecided`` is what arms the
-    ``wants_type``-guarded emission in ``DistributedDatabase``; with no
-    audit attached the decision path costs one attribute test.  Managed
-    automatically by :class:`~repro.telemetry.session.TelemetrySession`
-    when ``TelemetryConfig(decisions=True)``.
-
-    During the run the subscribed handler is the event buffer's own
-    ``list.append``; decoding the load vectors and scoring the regret
-    happen lazily — and incrementally — on the first read of
-    :attr:`records` / :meth:`summary`, keeping the audited hot path as
-    cheap as possible.
+    Sums use :func:`math.fsum` so the aggregates are independent of
+    accumulation order (byte-stable across replays).
     """
-
-    def __init__(self, bus: EventBus) -> None:
-        self._bus = bus
-        self._records: List[DecisionRecord] = []
-        self._buffer: List[TelemetryEvent] = []
-        self._drained = 0
-        self._subscriptions: List[Subscription] = [
-            bus.subscribe(AllocationDecided, self._buffer.append)
-        ]
-
-    def _drain(self) -> None:
-        """Score buffered decisions not yet turned into records."""
-        buffer = self._buffer
-        records = self._records
-        while self._drained < len(buffer):
-            event = buffer[self._drained]
-            self._drained += 1
-            assert isinstance(event, AllocationDecided)
-            records.append(record_from_event(event))
-
-    @property
-    def records(self) -> Tuple[DecisionRecord, ...]:
-        """The audited decisions, in decision order (deterministic)."""
-        self._drain()
-        return tuple(self._records)
-
-    def summary(self) -> DecisionSummary:
-        """Roll the audit up into a :class:`DecisionSummary`.
-
-        Sums use :func:`math.fsum` so the aggregates are independent of
-        accumulation order (byte-stable across replays).
-        """
-        self._drain()
-        records = self._records
-        count = len(records)
-        if count == 0:
-            return DecisionSummary(
-                count=0,
-                mean_staleness=0.0,
-                max_staleness=0.0,
-                mean_regret=0.0,
-                max_regret=0.0,
-                total_regret=0.0,
-                optimal_fraction=0.0,
-            )
-        total_regret = math.fsum(r.regret for r in records)
+    count = len(records)
+    if count == 0:
         return DecisionSummary(
-            count=count,
-            mean_staleness=math.fsum(r.staleness for r in records) / count,
-            max_staleness=max(r.staleness for r in records),
-            mean_regret=total_regret / count,
-            max_regret=max(r.regret for r in records),
-            total_regret=total_regret,
-            optimal_fraction=sum(1 for r in records if r.optimal) / count,
+            count=0,
+            mean_staleness=0.0,
+            max_staleness=0.0,
+            mean_regret=0.0,
+            max_regret=0.0,
+            total_regret=0.0,
+            optimal_fraction=0.0,
         )
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent); records stay readable."""
-        for subscription in self._subscriptions:
-            self._bus.unsubscribe(subscription)
-        self._subscriptions = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DecisionAudit records={len(self._buffer)}>"
+    total_regret = math.fsum(r.regret for r in records)
+    return DecisionSummary(
+        count=count,
+        mean_staleness=math.fsum(r.staleness for r in records) / count,
+        max_staleness=max(r.staleness for r in records),
+        mean_regret=total_regret / count,
+        max_regret=max(r.regret for r in records),
+        total_regret=total_regret,
+        optimal_fraction=sum(1 for r in records if r.optimal) / count,
+    )
 
 
 __all__ = [
-    "DecisionAudit",
     "DecisionRecord",
     "DecisionSummary",
     "decision_cost",
     "record_from_event",
+    "summarize_decisions",
 ]

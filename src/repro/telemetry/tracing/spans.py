@@ -38,26 +38,20 @@ Kind                      Interval
 :func:`span_id` — so serial and ``--jobs N`` replays produce identical
 IDs, and two runs differing only in seed share none.
 
-The :class:`SpanCollector` subscribes to its event types *explicitly*
-(never catch-all), which is exactly what arms the opt-in
-``wants_type``-guarded :class:`~repro.telemetry.events.ServiceFinished`
-emission in the model.
-
-**Deferred assembly.** During the run the collector only appends events
-to a buffer (the subscribed handler *is* ``list.append``, the cheapest
-possible hot-path cost); the pairing, hashing, and ``Span``
-construction happen lazily — and incrementally — on the first read of
-:attr:`spans` / :meth:`summary`.  Because the buffer preserves emission
-order, the deferred replay is byte-identical to online assembly.
+:func:`assemble_spans` is a pure function of a run's ordered event
+list: :class:`~repro.telemetry.session.TelemetrySession` buffers the
+events of :data:`SPAN_EVENT_TYPES` during the run (the subscribed
+handler *is* ``list.append``) and assembles them once, after the run.
+Subscribing to those types by name is what arms the opt-in
+:class:`~repro.telemetry.events.ServiceFinished` emission in the model.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Set, Tuple, Type
 
-from repro.telemetry.bus import EventBus, Subscription
 from repro.telemetry.events import (
     MessageDropped,
     QueryAborted,
@@ -123,10 +117,11 @@ class SpanSummary:
     """Roll-up of one run's span stream (rides ``SystemResults.spans``).
 
     Attributes:
-        count: Finished spans collected.
+        count: Finished spans assembled.
         queries: Distinct queries that produced at least one span.
-        unfinished: Spans still open when the collector closed (query
-            in flight at the end of the run); they are not reported.
+        unfinished: Spans still open at the end of the event list
+            (queries in flight at the end of the run); they are not
+            reported.
         kinds: Per-kind span counts, sorted by kind name.
     """
 
@@ -136,85 +131,42 @@ class SpanSummary:
     kinds: Tuple[Tuple[str, int], ...]
 
 
-class SpanCollector:
-    """Assemble spans from a run's event stream.
+class _Assembly:
+    """The pairing state of one :func:`assemble_spans` call."""
 
-    Subscribes on construction (build it *before* ``run()``, exactly
-    like :class:`~repro.telemetry.bus.EventLog`); read :attr:`spans`
-    and :meth:`summary` after the run, and :meth:`close` to detach.
-    Managed automatically by
-    :class:`~repro.telemetry.session.TelemetrySession` when
-    ``TelemetryConfig(spans=True)``.
-    """
-
-    def __init__(self, bus: EventBus) -> None:
-        self._bus = bus
-        self._seed = 0
-        self._finished: List[Span] = []
+    def __init__(self) -> None:
+        self.seed = 0
+        self.finished: List[Span] = []
         #: (qid, kind) -> open span's (start, site, id)
-        self._open: Dict[Tuple[int, str], Tuple[float, int, str]] = {}
+        self.open: Dict[Tuple[int, str], Tuple[float, int, str]] = {}
         #: (qid, kind) -> how many spans of that kind the query produced
-        self._indices: Dict[Tuple[int, str], int] = {}
-        self._home: Dict[int, int] = {}
-        self._qids: Set[int] = set()
-        #: Raw events in emission order; replayed lazily (see _drain).
-        self._buffer: List[TelemetryEvent] = []
-        self._drained = 0
-        self._handlers: Dict[
-            Type[TelemetryEvent], Callable[[TelemetryEvent], None]
-        ] = {
-            RunStarted: self._on_run_started,
-            QueryCreated: self._on_created,
-            QueryAllocated: self._on_allocated,
-            ServiceStarted: self._on_service_started,
-            ServiceFinished: self._on_service_finished,
-            QueryTransferred: self._on_transferred,
-            QueryCompleted: self._on_completed,
-            QueryAborted: self._on_aborted,
-            QueryRetried: self._on_retried,
-            QueryLost: self._on_lost,
-            MessageDropped: self._on_dropped,
-            QueryShed: self._on_shed,
-        }
-        # The hot-path handler is the buffer's own append — the model's
-        # emit sites pay one list append per wanted event, nothing more.
-        append = self._buffer.append
-        self._subscriptions: List[Subscription] = [
-            bus.subscribe(event_type, append) for event_type in self._handlers
-        ]
+        self.indices: Dict[Tuple[int, str], int] = {}
+        self.home: Dict[int, int] = {}
+        self.qids: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Span plumbing
     # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        """Replay buffered events not yet assembled (incremental)."""
-        buffer = self._buffer
-        handlers = self._handlers
-        while self._drained < len(buffer):
-            event = buffer[self._drained]
-            self._drained += 1
-            handlers[type(event)](event)
-
     def _next_id(self, serial: int, kind: str) -> str:
         key = (serial, kind)
-        index = self._indices.get(key, 0)
-        self._indices[key] = index + 1
-        return span_id(self._seed, serial, kind, index)
+        index = self.indices.get(key, 0)
+        self.indices[key] = index + 1
+        return span_id(self.seed, serial, kind, index)
 
     def _begin(self, qid: int, kind: str, start: float, site: int) -> None:
-        self._open[(qid, kind)] = (start, site, self._next_id(qid, kind))
+        self.open[(qid, kind)] = (start, site, self._next_id(qid, kind))
 
     def _finish(self, qid: int, kind: str, end: float) -> None:
-        entry = self._open.pop((qid, kind), None)
+        entry = self.open.pop((qid, kind), None)
         if entry is None:
             return
         start, site, sid = entry
-        self._finished.append(
+        self.finished.append(
             Span(span_id=sid, kind=kind, qid=qid, site=site, start=start, end=end)
         )
 
     def _instant(self, qid: int, kind: str, time: float, site: int) -> None:
-        self._finished.append(
+        self.finished.append(
             Span(
                 span_id=self._next_id(qid, kind),
                 kind=kind,
@@ -226,21 +178,21 @@ class SpanCollector:
         )
 
     # ------------------------------------------------------------------
-    # Bus handlers
+    # Pairing rules, one per event type
     # ------------------------------------------------------------------
     def _on_run_started(self, event: TelemetryEvent) -> None:
         assert isinstance(event, RunStarted)
-        self._seed = event.seed
+        self.seed = event.seed
 
     def _on_created(self, event: TelemetryEvent) -> None:
         assert isinstance(event, QueryCreated)
-        self._qids.add(event.qid)
-        self._home[event.qid] = event.home_site
+        self.qids.add(event.qid)
+        self.home[event.qid] = event.home_site
         self._begin(event.qid, "query", event.time, event.home_site)
 
     def _on_allocated(self, event: TelemetryEvent) -> None:
         assert isinstance(event, QueryAllocated)
-        self._qids.add(event.qid)
+        self.qids.add(event.qid)
         self._begin(event.qid, "queue", event.time, event.execution_site)
 
     def _on_service_started(self, event: TelemetryEvent) -> None:
@@ -255,7 +207,7 @@ class SpanCollector:
     def _on_transferred(self, event: TelemetryEvent) -> None:
         assert isinstance(event, QueryTransferred)
         kind = f"transfer.{event.kind}"
-        self._finished.append(
+        self.finished.append(
             Span(
                 span_id=self._next_id(event.qid, kind),
                 kind=kind,
@@ -279,8 +231,8 @@ class SpanCollector:
 
     def _on_retried(self, event: TelemetryEvent) -> None:
         assert isinstance(event, QueryRetried)
-        site = self._home.get(event.qid, 0)
-        self._finished.append(
+        site = self.home.get(event.qid, 0)
+        self.finished.append(
             Span(
                 span_id=self._next_id(event.qid, "backoff"),
                 kind="backoff",
@@ -293,7 +245,7 @@ class SpanCollector:
 
     def _on_lost(self, event: TelemetryEvent) -> None:
         assert isinstance(event, QueryLost)
-        site = self._home.get(event.qid, 0)
+        site = self.home.get(event.qid, 0)
         self._instant(event.qid, "lost", event.time, site)
         self._finish(event.qid, "query", event.time)
 
@@ -307,10 +259,10 @@ class SpanCollector:
         # derives from the per-site offered serial instead (unique per
         # site; the site number salts the kind to keep IDs distinct
         # across sites sharing a serial).
-        self._finished.append(
+        self.finished.append(
             Span(
                 span_id=span_id(
-                    self._seed, event.serial, f"shed.s{event.site}", 0
+                    self.seed, event.serial, f"shed.s{event.site}", 0
                 ),
                 kind="shed",
                 qid=-1,
@@ -320,46 +272,56 @@ class SpanCollector:
             )
         )
 
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    @property
-    def spans(self) -> Tuple[Span, ...]:
-        """The finished spans, in completion order (deterministic)."""
-        self._drain()
-        return tuple(self._finished)
 
-    @property
-    def open_spans(self) -> int:
-        """Spans begun but not yet finished (queries still in flight)."""
-        self._drain()
-        return len(self._open)
+#: Event type -> the pairing rule that reads it.
+_RULES: Dict[Type[TelemetryEvent], Callable[[_Assembly, TelemetryEvent], None]] = {
+    RunStarted: _Assembly._on_run_started,
+    QueryCreated: _Assembly._on_created,
+    QueryAllocated: _Assembly._on_allocated,
+    ServiceStarted: _Assembly._on_service_started,
+    ServiceFinished: _Assembly._on_service_finished,
+    QueryTransferred: _Assembly._on_transferred,
+    QueryCompleted: _Assembly._on_completed,
+    QueryAborted: _Assembly._on_aborted,
+    QueryRetried: _Assembly._on_retried,
+    QueryLost: _Assembly._on_lost,
+    MessageDropped: _Assembly._on_dropped,
+    QueryShed: _Assembly._on_shed,
+}
 
-    def summary(self) -> SpanSummary:
-        """Roll the collected stream up into a :class:`SpanSummary`."""
-        self._drain()
-        kinds: Dict[str, int] = {}
-        for span in self._finished:
-            kinds[span.kind] = kinds.get(span.kind, 0) + 1
-        return SpanSummary(
-            count=len(self._finished),
-            queries=len(self._qids),
-            unfinished=len(self._open),
-            kinds=tuple(sorted(kinds.items())),
-        )
-
-    def close(self) -> None:
-        """Unsubscribe from the bus (idempotent); spans stay readable."""
-        for subscription in self._subscriptions:
-            self._bus.unsubscribe(subscription)
-        self._subscriptions = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        self._drain()
-        return (
-            f"<SpanCollector finished={len(self._finished)} "
-            f"open={len(self._open)}>"
-        )
+#: The event types span assembly reads, in the order a session
+#: subscribes to them.  ``ServiceFinished`` is opt-in: naming it here is
+#: what makes the model emit it.
+SPAN_EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = tuple(_RULES)
 
 
-__all__ = ["Span", "SpanCollector", "SpanSummary", "span_id"]
+def assemble_spans(
+    events: Iterable[TelemetryEvent],
+) -> Tuple[Tuple[Span, ...], SpanSummary]:
+    """Pair a run's events into spans and roll them up.
+
+    *events* is the run's event list in emission order; events of types
+    outside :data:`SPAN_EVENT_TYPES` are skipped.  Returns the finished
+    spans in completion order and their :class:`SpanSummary`.  Spans
+    still open at the end of the list (queries in flight) are counted as
+    ``unfinished`` and not returned.
+    """
+    assembly = _Assembly()
+    for event in events:
+        rule = _RULES.get(type(event))
+        if rule is not None:
+            rule(assembly, event)
+    finished = assembly.finished
+    kinds: Dict[str, int] = {}
+    for span in finished:
+        kinds[span.kind] = kinds.get(span.kind, 0) + 1
+    summary = SpanSummary(
+        count=len(finished),
+        queries=len(assembly.qids),
+        unfinished=len(assembly.open),
+        kinds=tuple(sorted(kinds.items())),
+    )
+    return tuple(finished), summary
+
+
+__all__ = ["SPAN_EVENT_TYPES", "Span", "SpanSummary", "assemble_spans", "span_id"]

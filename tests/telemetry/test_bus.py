@@ -1,14 +1,9 @@
-"""Unit tests for the typed event bus and the bounded event log."""
+"""Unit tests for the typed event bus."""
 
 import pytest
 
-from repro.telemetry.bus import EventBus, EventLog
-from repro.telemetry.events import (
-    QueryCompleted,
-    QueryCreated,
-    TraceMessage,
-    WarmupEnded,
-)
+from repro.telemetry.bus import EventBus
+from repro.telemetry.events import QueryCreated, WarmupEnded
 
 
 def _created(time=1.0, qid=1):
@@ -40,31 +35,14 @@ class TestEventBus:
         assert len(seen) == 1
         assert isinstance(seen[0], QueryCreated)
 
-    def test_catch_all_sees_everything(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe_all(seen.append)
-        bus.emit(_created())
-        bus.emit(WarmupEnded(time=2.0))
-        assert [e.name for e in seen] == ["QueryCreated", "WarmupEnded"]
-        assert bus.wants(QueryCompleted)  # catch-all wants every type
-
-    def test_wants_type_ignores_catch_all(self):
-        bus = EventBus()
-        bus.subscribe_all(lambda e: None)
-        assert bus.wants(TraceMessage)
-        assert not bus.wants_type(TraceMessage)
-        bus.subscribe(TraceMessage, lambda e: None)
-        assert bus.wants_type(TraceMessage)
-
     def test_subscribers_called_in_subscription_order(self):
         bus = EventBus()
         order = []
         bus.subscribe(QueryCreated, lambda e: order.append("a"))
         bus.subscribe(QueryCreated, lambda e: order.append("b"))
-        bus.subscribe_all(lambda e: order.append("all"))
+        bus.subscribe(QueryCreated, lambda e: order.append("c"))
         bus.emit(_created())
-        assert order == ["a", "b", "all"]
+        assert order == ["a", "b", "c"]
 
     def test_unsubscribe_is_idempotent(self):
         bus = EventBus()
@@ -76,9 +54,18 @@ class TestEventBus:
         bus.emit(_created())
         assert seen == []
 
+    def test_unsubscribe_retracts_only_its_type(self):
+        bus = EventBus()
+        token = bus.subscribe(QueryCreated, lambda e: None)
+        bus.subscribe(WarmupEnded, lambda e: None)
+        bus.unsubscribe(token)
+        assert not bus.wants(QueryCreated)
+        assert bus.wants(WarmupEnded)
+        assert bus.active
+
     def test_emitted_counter(self):
         bus = EventBus()
-        bus.subscribe_all(lambda e: None)
+        bus.subscribe(QueryCreated, lambda e: None)
         bus.emit(_created())
         bus.emit(_created(qid=2))
         assert bus.emitted == 2
@@ -89,55 +76,3 @@ class TestEventBus:
             bus.subscribe(int, lambda e: None)
         with pytest.raises(TypeError):
             bus.subscribe(_created(), lambda e: None)
-
-
-class TestEventLog:
-    def test_collects_in_emission_order(self):
-        bus = EventBus()
-        log = EventLog()
-        log.attach(bus)
-        bus.emit(_created(qid=1))
-        bus.emit(_created(qid=2))
-        assert [e.qid for e in log.events] == [1, 2]
-        assert len(log) == 2
-
-    def test_capacity_drops_oldest(self):
-        bus = EventBus()
-        log = EventLog(capacity=2)
-        log.attach(bus)
-        for qid in range(1, 6):
-            bus.emit(_created(qid=qid))
-        assert [e.qid for e in log.events] == [4, 5]
-        assert log.dropped == 3
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_double_attach_rejected(self):
-        bus = EventBus()
-        log = EventLog()
-        log.attach(bus)
-        with pytest.raises(ValueError):
-            log.attach(bus)
-
-    def test_detach_stops_collection_but_keeps_events(self):
-        bus = EventBus()
-        log = EventLog()
-        log.attach(bus)
-        bus.emit(_created(qid=1))
-        log.detach()
-        log.detach()  # idempotent
-        bus.emit(_created(qid=2))
-        assert [e.qid for e in log.events] == [1]
-        assert not bus.active
-
-    def test_clear(self):
-        bus = EventBus()
-        log = EventLog(capacity=1)
-        log.attach(bus)
-        bus.emit(_created(qid=1))
-        bus.emit(_created(qid=2))
-        log.clear()
-        assert len(log) == 0
-        assert log.dropped == 0

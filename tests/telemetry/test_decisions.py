@@ -14,13 +14,12 @@ from repro.model.config import paper_defaults
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
-from repro.telemetry.bus import EventBus
 from repro.telemetry.events import AllocationDecided
-from repro.telemetry.session import TelemetryConfig
+from repro.telemetry.session import TelemetryConfig, TelemetrySession
 from repro.telemetry.tracing import (
-    DecisionAudit,
     decision_cost,
     record_from_event,
+    summarize_decisions,
 )
 
 SPEC = RunSpec(
@@ -101,27 +100,35 @@ class TestRecordFromEvent:
         assert record.candidates == (0, 1, 2)
 
 
-class TestAuditCollection:
-    def test_incremental_reads_see_later_events(self):
-        bus = EventBus()
-        audit = DecisionAudit(bus)
-        bus.emit(decided(qid=1))
-        assert len(audit.records) == 1
-        bus.emit(decided(qid=2))
-        assert [r.qid for r in audit.records] == [1, 2]
+def audit_session(config) -> "tuple[DistributedDatabase, TelemetrySession]":
+    """A system with a decisions-only session attached (not yet run)."""
+    system = DistributedDatabase(config, make_policy("BNQRD"), seed=11)
+    session = TelemetrySession(
+        system, TelemetryConfig(events=False, decisions=True)
+    )
+    return system, session
 
-    def test_close_stops_collection_and_is_idempotent(self):
-        bus = EventBus()
-        audit = DecisionAudit(bus)
+
+class TestAuditCollection:
+    def test_incremental_reads_see_later_events(self, tiny_config):
+        system, session = audit_session(tiny_config)
+        bus = system.sim.bus
         bus.emit(decided(qid=1))
-        audit.close()
-        audit.close()
+        assert len(session.decisions) == 1
         bus.emit(decided(qid=2))
-        assert [r.qid for r in audit.records] == [1]
+        assert [r.qid for r in session.decisions] == [1, 2]
+
+    def test_close_stops_collection_and_is_idempotent(self, tiny_config):
+        system, session = audit_session(tiny_config)
+        bus = system.sim.bus
+        bus.emit(decided(qid=1))
+        session.close()
+        session.close()
+        bus.emit(decided(qid=2))
+        assert [r.qid for r in session.decisions] == [1]
 
     def test_empty_summary_is_all_zero(self):
-        audit = DecisionAudit(EventBus())
-        summary = audit.summary()
+        summary = summarize_decisions(())
         assert summary.count == 0
         assert summary.optimal_fraction == 0.0
 
@@ -199,9 +206,11 @@ class TestStaleness:
         system = DistributedDatabase(
             paper_defaults(), make_policy("BNQRD"), seed=11, refresh_interval=50.0
         )
-        audit = DecisionAudit(system.sim.bus)
+        session = TelemetrySession(
+            system, TelemetryConfig(events=False, decisions=True)
+        )
         system.run(warmup=100.0, duration=500.0)
-        records = audit.records
+        records = session.decisions
         assert records
         assert max(r.staleness for r in records) > 0.0
         assert all(r.staleness <= 50.0 for r in records)

@@ -7,7 +7,6 @@ import pytest
 from repro.codec import from_dict, to_dict
 from repro.telemetry.events import (
     AnyEvent,
-    EVENT_REGISTRY,
     EVENT_TYPES,
     AllocationDecided,
     LoadBoardUpdated,
@@ -87,10 +86,6 @@ SAMPLES = (
 class TestTaxonomy:
     def test_every_type_has_a_sample(self):
         assert {type(s) for s in SAMPLES} == set(EVENT_TYPES)
-
-    def test_registry_maps_names(self):
-        for cls in EVENT_TYPES:
-            assert EVENT_REGISTRY[cls.__name__] is cls
 
     def test_events_are_frozen(self):
         for sample in SAMPLES:

@@ -1,15 +1,16 @@
 """Unit tests for the span model (`repro.telemetry.tracing.spans`).
 
-The collector is driven two ways: synthetically (events pushed straight
-onto a bare bus — every pairing rule is exercised in isolation) and from
-real runs (the assembled stream is structurally consistent and
-deterministic).
+Span assembly is driven two ways: synthetically (hand-built event lists
+— every pairing rule is exercised in isolation) and from real runs (the
+assembled stream is structurally consistent and deterministic).
 """
 
 import dataclasses
+from typing import Callable, List
 
+from repro.model.system import DistributedDatabase
+from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
-from repro.telemetry.bus import EventBus
 from repro.telemetry.events import (
     MessageDropped,
     QueryAborted,
@@ -20,52 +21,59 @@ from repro.telemetry.events import (
     QueryRetried,
     QueryShed,
     QueryTransferred,
+    RunEnded,
     RunStarted,
     ServiceFinished,
     ServiceStarted,
+    TelemetryEvent,
+    WarmupEnded,
 )
-from repro.telemetry.session import TelemetryConfig
-from repro.telemetry.tracing import Span, SpanCollector, span_id
+from repro.telemetry.session import TelemetryConfig, TelemetrySession
+from repro.telemetry.tracing import Span, assemble_spans, span_id
 
 SEED = 13
 
 
-def started_bus() -> "tuple[EventBus, SpanCollector]":
-    bus = EventBus()
-    collector = SpanCollector(bus)
-    bus.emit(
-        RunStarted(time=0.0, policy="LERT", seed=SEED, warmup=0.0, duration=100.0)
-    )
-    return bus, collector
+def run_started() -> RunStarted:
+    return RunStarted(time=0.0, policy="LERT", seed=SEED, warmup=0.0, duration=100.0)
 
 
-def lifecycle(bus: EventBus, qid: int = 3) -> None:
+def started() -> List[TelemetryEvent]:
+    """An event list holding only the run's start (which carries the seed)."""
+    return [run_started()]
+
+
+def spans_of(events: List[TelemetryEvent]) -> "tuple[Span, ...]":
+    return assemble_spans(events)[0]
+
+
+def lifecycle(emit: Callable[[TelemetryEvent], None], qid: int = 3) -> None:
     """One complete remote query: create → allocate → serve → complete."""
-    bus.emit(
+    emit(
         QueryCreated(
             time=1.0, qid=qid, class_name="io", home_site=2, estimated_reads=4.0
         )
     )
-    bus.emit(
+    emit(
         QueryAllocated(
             time=1.0, qid=qid, class_name="io", home_site=2, execution_site=0
         )
     )
-    bus.emit(
+    emit(
         QueryTransferred(
             time=1.0, qid=qid, source=2, destination=0, kind="query",
             transfer_time=0.25,
         )
     )
-    bus.emit(ServiceStarted(time=1.25, qid=qid, site=0, reads=4))
-    bus.emit(ServiceFinished(time=7.0, qid=qid, site=0, service_time=5.75))
-    bus.emit(
+    emit(ServiceStarted(time=1.25, qid=qid, site=0, reads=4))
+    emit(ServiceFinished(time=7.0, qid=qid, site=0, service_time=5.75))
+    emit(
         QueryTransferred(
             time=7.0, qid=qid, source=0, destination=2, kind="result",
             transfer_time=0.5,
         )
     )
-    bus.emit(
+    emit(
         QueryCompleted(
             time=7.5, qid=qid, class_name="io", home_site=2, execution_site=0,
             remote=True, created_at=1.0, allocated_at=1.0, started_at=1.25,
@@ -93,9 +101,9 @@ class TestSpanId:
 
 class TestLifecyclePairing:
     def test_complete_remote_query(self):
-        bus, collector = started_bus()
-        lifecycle(bus)
-        spans = {span.kind: span for span in collector.spans}
+        events = started()
+        lifecycle(events.append)
+        spans = {span.kind: span for span in spans_of(events)}
         assert set(spans) == {
             "query", "queue", "service", "transfer.query", "transfer.result"
         }
@@ -108,112 +116,123 @@ class TestLifecyclePairing:
         assert spans["service"].start == 1.25 and spans["service"].end == 7.0
         assert spans["transfer.query"].end == 1.25
         assert spans["transfer.result"].end == 7.5
-        assert collector.open_spans == 0
+        assert assemble_spans(events)[1].unfinished == 0
 
     def test_duration_property(self):
-        bus, collector = started_bus()
-        lifecycle(bus)
-        (service,) = [s for s in collector.spans if s.kind == "service"]
+        events = started()
+        lifecycle(events.append)
+        (service,) = [s for s in spans_of(events) if s.kind == "service"]
         assert service.duration == 7.0 - 1.25
 
     def test_ids_are_unique_within_a_run(self):
-        bus, collector = started_bus()
-        lifecycle(bus, qid=1)
-        lifecycle(bus, qid=2)
-        ids = [span.span_id for span in collector.spans]
+        events = started()
+        lifecycle(events.append, qid=1)
+        lifecycle(events.append, qid=2)
+        ids = [span.span_id for span in spans_of(events)]
         assert len(ids) == len(set(ids))
 
     def test_repeated_kind_bumps_index(self):
-        bus, collector = started_bus()
-        bus.emit(QueryRetried(time=5.0, qid=4, attempt=1, backoff=2.0))
-        bus.emit(QueryRetried(time=9.0, qid=4, attempt=2, backoff=4.0))
-        first, second = collector.spans
+        events = started()
+        events.append(QueryRetried(time=5.0, qid=4, attempt=1, backoff=2.0))
+        events.append(QueryRetried(time=9.0, qid=4, attempt=2, backoff=4.0))
+        first, second = spans_of(events)
         assert first.span_id == span_id(SEED, 4, "backoff", 0)
         assert second.span_id == span_id(SEED, 4, "backoff", 1)
         assert second.end == 9.0 + 4.0
 
     def test_unfinished_spans_are_withheld(self):
-        bus, collector = started_bus()
-        bus.emit(
+        events = started()
+        events.append(
             QueryCreated(
                 time=1.0, qid=3, class_name="io", home_site=2,
                 estimated_reads=4.0,
             )
         )
-        assert collector.spans == ()
-        assert collector.open_spans == 1
-        assert collector.summary().unfinished == 1
+        spans, summary = assemble_spans(events)
+        assert spans == ()
+        assert summary.unfinished == 1
 
 
 class TestFaultSpans:
     def test_abort_closes_open_phases(self):
-        bus, collector = started_bus()
-        bus.emit(
+        events = started()
+        events.append(
             QueryAllocated(
                 time=1.0, qid=3, class_name="io", home_site=2, execution_site=1
             )
         )
-        bus.emit(ServiceStarted(time=2.0, qid=3, site=1, reads=4))
-        bus.emit(QueryAborted(time=5.0, qid=3, site=1, attempt=1))
-        kinds = {span.kind: span for span in collector.spans}
+        events.append(ServiceStarted(time=2.0, qid=3, site=1, reads=4))
+        events.append(QueryAborted(time=5.0, qid=3, site=1, attempt=1))
+        kinds = {span.kind: span for span in spans_of(events)}
         assert set(kinds) == {"queue", "service", "abort"}
         assert kinds["queue"].end == 2.0  # closed by the service start
         assert kinds["service"].end == 5.0
         assert kinds["abort"].start == kinds["abort"].end == 5.0
 
     def test_lost_ends_the_query_span(self):
-        bus, collector = started_bus()
-        bus.emit(
+        events = started()
+        events.append(
             QueryCreated(
                 time=1.0, qid=3, class_name="io", home_site=2,
                 estimated_reads=4.0,
             )
         )
-        bus.emit(QueryLost(time=9.0, qid=3, attempts=6))
-        kinds = {span.kind: span for span in collector.spans}
+        events.append(QueryLost(time=9.0, qid=3, attempts=6))
+        kinds = {span.kind: span for span in spans_of(events)}
         assert kinds["lost"].site == 2  # the remembered home site
         assert kinds["query"].end == 9.0
 
     def test_drop_is_instant_at_destination(self):
-        bus, collector = started_bus()
-        bus.emit(
+        events = started()
+        events.append(
             MessageDropped(time=4.0, source=1, destination=0, kind="result", qid=5)
         )
-        (span,) = collector.spans
+        (span,) = spans_of(events)
         assert span.kind == "drop" and span.site == 0
         assert span.start == span.end == 4.0
 
     def test_shed_uses_serial_keyed_id(self):
-        bus, collector = started_bus()
-        bus.emit(QueryShed(time=3.0, site=1, serial=42, pending=16))
-        (span,) = collector.spans
+        events = started()
+        events.append(QueryShed(time=3.0, site=1, serial=42, pending=16))
+        (span,) = spans_of(events)
         assert span.qid == -1
         assert span.site == 1
         assert span.span_id == span_id(SEED, 42, "shed.s1", 0)
 
 
 class TestCollectorLifecycle:
-    def test_incremental_reads_see_later_events(self):
-        # Reading spans mid-run must not lose events buffered afterwards.
-        bus, collector = started_bus()
-        lifecycle(bus, qid=1)
-        assert len(collector.spans) == 5
-        lifecycle(bus, qid=2)
-        assert len(collector.spans) == 10
+    """Span assembly inside a :class:`TelemetrySession`."""
 
-    def test_close_stops_collection_and_is_idempotent(self):
-        bus, collector = started_bus()
-        lifecycle(bus, qid=1)
-        collector.close()
-        collector.close()
-        lifecycle(bus, qid=2)
-        assert len(collector.spans) == 5  # the post-close query is unseen
+    @staticmethod
+    def session(tiny_config) -> "tuple[DistributedDatabase, TelemetrySession]":
+        system = DistributedDatabase(tiny_config, make_policy("LERT"), seed=SEED)
+        session = TelemetrySession(
+            system, TelemetryConfig(events=False, spans=True)
+        )
+        system.sim.bus.emit(run_started())
+        return system, session
+
+    def test_incremental_reads_see_later_events(self, tiny_config):
+        # Reading spans mid-run must not lose events buffered afterwards.
+        system, session = self.session(tiny_config)
+        lifecycle(system.sim.bus.emit, qid=1)
+        assert len(session.spans) == 5
+        lifecycle(system.sim.bus.emit, qid=2)
+        assert len(session.spans) == 10
+
+    def test_close_stops_collection_and_is_idempotent(self, tiny_config):
+        system, session = self.session(tiny_config)
+        lifecycle(system.sim.bus.emit, qid=1)
+        session.close()
+        session.close()
+        lifecycle(system.sim.bus.emit, qid=2)
+        assert len(session.spans) == 5  # the post-close query is unseen
 
     def test_summary_counts(self):
-        bus, collector = started_bus()
-        lifecycle(bus, qid=1)
-        lifecycle(bus, qid=2)
-        summary = collector.summary()
+        events = started()
+        lifecycle(events.append, qid=1)
+        lifecycle(events.append, qid=2)
+        _, summary = assemble_spans(events)
         assert summary.count == 10
         assert summary.queries == 2
         assert summary.unfinished == 0
@@ -221,6 +240,12 @@ class TestCollectorLifecycle:
         assert [kind for kind, _ in summary.kinds] == sorted(
             kind for kind, _ in summary.kinds
         )
+
+    def test_other_event_types_are_skipped(self):
+        events = started()
+        lifecycle(events.append, qid=1)
+        mixed = [WarmupEnded(time=0.5)] + events + [RunEnded(time=9.0, completions=1)]
+        assert assemble_spans(mixed) == assemble_spans(events)
 
 
 class TestRealRuns:
