@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.model.config import DISK_PER_DISK, DISK_SHARED, paper_defaults
+from repro.model.query import Query
 from repro.model.site import DBSite
+from repro.model.workload import WorkloadGenerator
 from repro.sim.engine import Simulator
 
 
@@ -31,60 +33,149 @@ class TestStructure:
         assert len(site.disks) == 1
 
 
+def make_query(config, reads, class_index=0):
+    return Query(
+        class_index=class_index,
+        spec=config.classes[class_index],
+        home_site=0,
+        estimated_reads=float(reads),
+        actual_reads=reads,
+        io_bound=class_index == 0,
+    )
+
+
+def launch_visit(sim, site, query, rng, reads, catch=()):
+    """Run *reads* read cycles of *query* at *site* in a fresh process."""
+    received = []
+
+    def visit():
+        try:
+            yield from site.execute(query, WorkloadGenerator(sim, site.config), rng, reads)
+        except catch as exc:
+            received.append((sim.now, exc))
+
+    return sim.launch(visit()), received
+
+
 class TestService:
     def test_disk_service_spreads_over_disks(self):
         sim = Simulator()
-        site = DBSite(sim, paper_defaults(), index=0)
-        rng = random.Random(0)
-
-        def reader():
-            for _ in range(60):
-                yield site.disk_service(0.1, rng)
-
-        sim.launch(reader())
+        config = paper_defaults()
+        site = DBSite(sim, config, index=0)
+        launch_visit(sim, site, make_query(config, 60), random.Random(0), 60)
         sim.run()
         counts = [d.completions for d in site.disks]
         assert sum(counts) == 60
         assert all(c > 10 for c in counts), f"unbalanced routing: {counts}"
+        assert site.cpu.completions == 60
 
     def test_cpu_service(self):
         sim = Simulator()
-        site = DBSite(sim, paper_defaults(), index=0)
-
-        def worker():
-            yield site.cpu_service(2.0)
-
-        sim.launch(worker())
+        # One disk and a fixed disk time: the burst is the stream's only draw.
+        config = paper_defaults().with_site(disk_time_dev=0.0, num_disks=1)
+        site = DBSite(sim, config, index=0, cpu_speed=2.0)
+        query = make_query(config, 1, class_index=1)
+        launch_visit(sim, site, query, random.Random(3), 1)
         sim.run()
-        assert sim.now == pytest.approx(2.0)
+        burst = random.Random(3).expovariate(1.0 / query.spec.page_cpu_time) / 2.0
+        assert sim.now == pytest.approx(1.0 + burst)
         assert site.cpu.completions == 1
+        assert query.service_acquired == 1.0 + burst
+        assert query.started_at == 0.0
+        assert query.finished_at == sim.now
+
+    def test_zero_reads_take_no_time(self):
+        sim = Simulator()
+        config = paper_defaults()
+        site = DBSite(sim, config, index=0)
+        query = make_query(config, 0)
+        launch_visit(sim, site, query, random.Random(0), 0)
+        sim.run()
+        assert sim.now == 0.0
+        assert sim.events_fired == 1
+        assert query.finished_at == 0.0
+        assert site.disk_completions == 0
+
+
+class Crash(Exception):
+    pass
+
+
+class TestInterruptRace:
+    """A site crash interrupts a visit in service or at a completion."""
+
+    def setup_method(self):
+        self.sim = Simulator()
+        self.config = paper_defaults().with_site(disk_time_dev=0.0)
+        self.site = DBSite(self.sim, self.config, index=0)
+        self.query = make_query(self.config, 3)
+
+    def assert_idle(self):
+        for server in [self.site.cpu, *self.site.disks]:
+            assert server.busy.value == 0
+            assert server.population.value == 0
+
+    def test_interrupt_in_service(self):
+        sim, site = self.sim, self.site
+        process, received = launch_visit(
+            sim, site, self.query, random.Random(0), 3, catch=Crash
+        )
+
+        def crash():
+            site.abort_all()
+            process.interrupt(Crash())
+
+        sim.schedule(0.5, crash)
+        sim.run()
+        assert [when for when, _ in received] == [0.5]
+        assert process.terminated
+        assert sim.now == 0.5
+        # activation, the crash, the throw: the flushed completion never fires
+        assert sim.events_fired == 3
+        assert site.disk_completions == 0
+        assert self.query.service_acquired == 0.0
+        assert self.query.finished_at is None
+        self.assert_idle()
+
+    def test_interrupt_at_the_completion_instant(self):
+        # The interrupt is scheduled at t/2 for t, so its sequence number
+        # falls between the disk completion's (rented at 0) and the resume
+        # that completion rents at t: it fires after the completion and
+        # must cancel the pending resume.
+        sim, site = self.sim, self.site
+        process, received = launch_visit(
+            sim, site, self.query, random.Random(0), 3, catch=Crash
+        )
+        sim.schedule(0.5, lambda: sim.schedule(0.5, lambda: process.interrupt(Crash())))
+        sim.run()
+        assert [when for when, _ in received] == [1.0]
+        assert process.terminated
+        assert sim.now == 1.0
+        # activation, the disk completion, the t/2 event, the interrupt,
+        # the throw: the cancelled resume never fires
+        assert sim.events_fired == 5
+        assert site.disk_completions == 1
+        assert site.cpu.completions == 0
+        assert self.query.service_acquired == 0.0
+        self.assert_idle()
 
 
 class TestStatistics:
     def test_disk_utilization_average(self):
         sim = Simulator()
-        site = DBSite(sim, paper_defaults(), index=0)
-        rng = random.Random(1)
-
-        def reader():
-            for _ in range(10):
-                yield site.disk_service(1.0, rng)
-
-        sim.launch(reader())
+        config = paper_defaults().with_site(disk_time_dev=0.0)
+        site = DBSite(sim, config, index=0)
+        launch_visit(sim, site, make_query(config, 10), random.Random(1), 10)
         sim.run()
-        # One reader: total busy time 10 over elapsed 10, split over 2 disks.
-        assert site.disk_utilization == pytest.approx(0.5)
+        # One reader: 10 reads of 1.0 each over the elapsed time, split
+        # over 2 disks.
+        assert site.disk_utilization == pytest.approx(10.0 / (2 * sim.now))
 
     def test_reset_statistics(self):
         sim = Simulator()
-        site = DBSite(sim, paper_defaults(), index=0)
-        rng = random.Random(2)
-
-        def reader():
-            yield site.disk_service(1.0, rng)
-            yield site.cpu_service(1.0)
-
-        sim.launch(reader())
+        config = paper_defaults()
+        site = DBSite(sim, config, index=0)
+        launch_visit(sim, site, make_query(config, 1), random.Random(2), 1)
         sim.run()
         site.reset_statistics()
         assert site.disk_completions == 0
