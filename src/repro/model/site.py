@@ -14,16 +14,23 @@ Each site owns:
 The terminals and the outgoing message buffer live elsewhere (terminals in
 :mod:`repro.workloads.closed`, the per-site buffer inside the ring), so this
 class is purely the service-center bundle plus its statistics.
+
+Hot path (see ``docs/performance.md``): a site visit's read cycles are
+the unit of work of every run.  They run in one :class:`ReadCycles`
+command per visit, which the servers' completions drive from disk to
+CPU and back; the query's process is resumed once, after the last CPU
+burst.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Generator, List
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.model.config import DISK_SHARED, SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.resources import FCFSServer, PSServer, ServiceRequest
+from repro.sim.process import Continuation
+from repro.sim.resources import FCFSServer, PSServer
 from repro.telemetry.events import ServiceFinished, ServiceStarted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,24 +74,24 @@ class DBSite:
             ]
 
     # ------------------------------------------------------------------
-    # Service interfaces used by the query life cycle
+    # Read cycles
     # ------------------------------------------------------------------
-    def disk_service(self, duration: float, rng: random.Random) -> ServiceRequest:
-        """Request one page read of the given service time.
+    def read_cycles(
+        self,
+        workload: "WorkloadGenerator",
+        rng: random.Random,
+        reads: int,
+        page_cpu_time: float,
+        query: Optional["Query"] = None,
+    ) -> "ReadCycles":
+        """The command that runs *reads* (>= 1) read cycles at this site.
 
-        In the ``per_disk`` organization the disk is chosen uniformly at
-        random (replicated data is spread over the disks, so any page is
-        equally likely to live on any disk).  In the ``shared`` organization
-        there is a single multi-server station.
+        A process yields it once and resumes after the last CPU burst;
+        see :class:`ReadCycles`.  Each burst's service time is added to
+        *query*'s ``service_acquired`` when a query is given (update
+        applies pass none).
         """
-        if len(self.disks) == 1:
-            return self.disks[0].service(duration)
-        disk = self.disks[rng.randrange(len(self.disks))]
-        return disk.service(duration)
-
-    def cpu_service(self, duration: float) -> ServiceRequest:
-        """Request one CPU burst."""
-        return self.cpu.service(duration)
+        return ReadCycles(self, workload, rng, reads, page_cpu_time, query)
 
     def execute(
         self,
@@ -92,7 +99,7 @@ class DBSite:
         workload: "WorkloadGenerator",
         rng: random.Random,
         reads: int,
-    ) -> Generator[ServiceRequest, None, None]:
+    ) -> Generator[ReadCycles, None, None]:
         """Run *reads* of *query*'s disk/CPU cycles at this site (a generator).
 
         The paper's execution model: alternating disk-read / CPU-burst
@@ -103,7 +110,8 @@ class DBSite:
         ``query.started_at`` on the query's first call and
         ``query.finished_at`` on every call, and accumulates
         ``query.service_acquired``; yielded from the query life cycle via
-        ``yield from``.
+        ``yield from``.  The cycles themselves run in one
+        :class:`ReadCycles` command, so the generator yields at most once.
         """
         sim = self.sim
         if query.started_at is None:
@@ -118,15 +126,8 @@ class DBSite:
                     reads=reads,
                 )
             )
-        spec = query.spec
-        speed = self.cpu_speed
-        for _ in range(reads):
-            disk_time = workload.disk_time(rng)
-            yield self.disk_service(disk_time, rng)
-            query.service_acquired += disk_time
-            cpu_time = rng.expovariate(1.0 / spec.page_cpu_time) / speed
-            yield self.cpu_service(cpu_time)
-            query.service_acquired += cpu_time
+        if reads:
+            yield self.read_cycles(workload, rng, reads, query.spec.page_cpu_time, query)
         query.finished_at = sim.now
         # Opt-in: only span assembly subscribes to this, so event logs
         # without spans keep their pre-tracing digests.
@@ -183,4 +184,88 @@ class DBSite:
         return f"<DBSite {self.index} cpu_u={self.cpu_utilization:.3f}>"
 
 
-__all__ = ["DBSite"]
+class ReadCycles(Continuation):
+    """One site visit's disk-read / CPU-burst cycles, run from completions.
+
+    The process yields the command once.  It draws the first read's disk
+    time (and, with several disk queues, the disk: uniformly at random,
+    since replicated data is spread over the disks) and joins that
+    disk's queue in the process's place.  At each completion's resume
+    instant it adds the finished burst to the query's
+    ``service_acquired``, then joins the CPU with an exponential burst
+    divided by the site's ``cpu_speed``, or the next disk; after the
+    last CPU burst it resumes the process.
+
+    Draws, rented events and float additions come in the order of a
+    process that yields one :class:`~repro.sim.resources.ServiceRequest`
+    per burst, so a run is byte-identical to one driven that way, but a
+    burst costs no generator resume and no command object.  A negative
+    or NaN demand raises :class:`~repro.sim.errors.ResourceError` as
+    ``Server.service`` does.
+    """
+
+    __slots__ = (
+        "query",
+        "workload",
+        "rng",
+        "reads",
+        "disks",
+        "cpu",
+        "cpu_rate",
+        "cpu_speed",
+        "burst",
+        "on_disk",
+    )
+
+    def __init__(
+        self,
+        site: DBSite,
+        workload: "WorkloadGenerator",
+        rng: random.Random,
+        reads: int,
+        page_cpu_time: float,
+        query: Optional["Query"],
+    ) -> None:
+        self.query = query
+        self.workload = workload
+        self.rng = rng
+        self.reads = reads
+        self.disks = site.disks
+        self.cpu = site.cpu
+        self.cpu_rate = 1.0 / page_cpu_time
+        self.cpu_speed = site.cpu_speed
+        self.burst = 0.0
+        self.on_disk = True
+
+    def begin(self) -> None:
+        """Join a disk's queue for the next page read."""
+        rng = self.rng
+        burst = self.workload.disk_time(rng)
+        disks = self.disks
+        disk = disks[0] if len(disks) == 1 else disks[rng.randrange(len(disks))]
+        if not burst >= 0:
+            raise disk.demand_error(burst)
+        self.burst = burst
+        self.on_disk = True
+        disk._accept(self, burst)
+
+    def advance(self) -> None:
+        query = self.query
+        if query is not None:
+            query.service_acquired += self.burst
+        if self.on_disk:
+            burst = self.rng.expovariate(self.cpu_rate) / self.cpu_speed
+            if not burst >= 0:
+                raise self.cpu.demand_error(burst)
+            self.burst = burst
+            self.on_disk = False
+            self.cpu._accept(self, burst)
+            return
+        self.reads -= 1
+        if self.reads:
+            self.begin()
+        else:
+            self.finish()
+
+
+__all__ = ["DBSite", "ReadCycles"]

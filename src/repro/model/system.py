@@ -379,10 +379,7 @@ class DistributedDatabase:
         """
         site = self.sites[site_index]
         rng = self.sim.rng.once(f"apply.s{site_index}.u{update_id}")
-        for _ in range(self.update_pages):
-            yield site.disk_service(self.workload.disk_time(rng), rng)
-            cpu_time = rng.expovariate(1.0 / self.apply_cpu_time) / site.cpu_speed
-            yield site.cpu_service(cpu_time)
+        yield site.read_cycles(self.workload, rng, self.update_pages, self.apply_cpu_time)
         self.applies_completed += 1
 
     def _propagate(self, query: Query, execution_site: int) -> None:

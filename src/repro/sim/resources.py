@@ -19,6 +19,12 @@ Each server keeps standard monitors (utilization, time-average population
 and a completion count) so experiments can read statistics without
 instrumenting model code.
 
+A station serves *customers*: anything with a ``resume_now()`` it calls
+when the customer's service completes.  That is a :class:`Process`
+(through :class:`ServiceRequest`) or a
+:class:`~repro.sim.process.Continuation`, which model code hands to
+``_accept`` directly to chain services without resuming its process.
+
 Hot-path layout (see ``docs/performance.md``): a disk read or CPU burst
 is the unit of work every query repeats, so the stations carry no
 per-service objects beyond what the event list needs.  An FCFS or delay
@@ -31,14 +37,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple, Union
 
 from repro.sim.errors import ResourceError
 from repro.sim.events import Event, MinHeap, validate_delay
 from repro.sim.monitor import TimeWeighted
-from repro.sim.process import Command, Process
+from repro.sim.process import Command, Continuation, Process
 
 _INFINITY = math.inf
+
+#: What a station serves and resumes at completion.
+Customer = Union[Process, Continuation]
 
 
 class ServiceRequest(Command):
@@ -74,11 +83,19 @@ class Server:
 
     def service(self, demand: float) -> ServiceRequest:
         """Build the command a process yields to obtain service."""
-        if demand < 0 or demand != demand:
-            raise ResourceError(f"{self.name}: invalid service demand {demand!r}")
+        if not demand >= 0:  # NaN fails too
+            raise self.demand_error(demand)
         return ServiceRequest(self, demand)
 
-    def _accept(self, process: Process, demand: float) -> None:
+    def demand_error(self, demand: float) -> ResourceError:
+        """The error for a negative or NaN *demand* (callers check first)."""
+        return ResourceError(f"{self.name}: invalid service demand {demand!r}")
+
+    def _accept(self, customer: Customer, demand: float) -> None:
+        """Start or queue *demand* units of service for *customer*.
+
+        The caller has checked *demand* (see :meth:`service`).
+        """
         raise NotImplementedError
 
     def reset_statistics(self) -> None:
@@ -101,7 +118,7 @@ class Server:
 
         Pending completion events are cancelled and the station's monitors
         are corrected so that time-weighted statistics stay consistent.
-        The flushed *processes* are **not** resumed or interrupted — the
+        The flushed customers are **not** resumed or interrupted — the
         caller (the fault injector) owns process teardown; this method only
         tears down the station's internal bookkeeping.
 
@@ -114,11 +131,11 @@ class Server:
 class _FCFSJob:
     """One in-service job at a :class:`FCFSServer`; its own completion callback."""
 
-    __slots__ = ("server", "process", "event")
+    __slots__ = ("server", "customer", "event")
 
-    def __init__(self, server: "FCFSServer", process: Process) -> None:
+    def __init__(self, server: "FCFSServer", customer: Customer) -> None:
         self.server = server
-        self.process = process
+        self.customer = customer
         self.event: Optional[Event] = None
 
     def __call__(self) -> None:
@@ -130,7 +147,7 @@ class _FCFSJob:
         server.completions += 1
         if server._queue:
             server._begin(*server._queue.popleft())
-        self.process.resume_now()
+        self.customer.resume_now()
 
 
 class FCFSServer(Server):
@@ -146,7 +163,7 @@ class FCFSServer(Server):
             raise ResourceError(f"{name}: need at least one server, got {servers}")
         super().__init__(sim, name)
         self.servers = servers
-        self._queue: Deque[Tuple[Process, float]] = deque()
+        self._queue: Deque[Tuple[Customer, float]] = deque()
         self._active: List[_FCFSJob] = []
 
     @property
@@ -158,17 +175,17 @@ class FCFSServer(Server):
     def busy_servers(self) -> int:
         return len(self._active)
 
-    def _accept(self, process: Process, demand: float) -> None:
+    def _accept(self, customer: Customer, demand: float) -> None:
         self.population.add(1)
         if len(self._active) < self.servers:
-            self._begin(process, demand)
+            self._begin(customer, demand)
         else:
-            self._queue.append((process, demand))
+            self._queue.append((customer, demand))
 
-    def _begin(self, process: Process, demand: float) -> None:
+    def _begin(self, customer: Customer, demand: float) -> None:
         now = self.sim.now
         self.busy.add(1)
-        job = _FCFSJob(self, process)
+        job = _FCFSJob(self, customer)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)
         job.event = self._equeue.rent(now + demand, job, self._done_label)
@@ -199,7 +216,7 @@ class PSServer(Server):
     virtual time ``V`` finishes when the virtual clock reaches ``V + d``.
     Only the earliest virtual finish needs a scheduled event, and the event
     is rebuilt on every arrival/departure.  Jobs are
-    ``(finish_virtual, seq, process)`` tuples in a :class:`MinHeap`.
+    ``(finish_virtual, seq, customer)`` tuples in a :class:`MinHeap`.
     """
 
     def __init__(self, sim, name: str = "cpu") -> None:
@@ -222,14 +239,14 @@ class PSServer(Server):
             self._virtual += (now - self._last_update) / n
         self._last_update = now
 
-    def _accept(self, process: Process, demand: float) -> None:
+    def _accept(self, customer: Customer, demand: float) -> None:
         now = self.sim.now
         jobs = self._jobs
         n = len(jobs)
         if n:
             self._virtual += (now - self._last_update) / n
         self._last_update = now
-        jobs.push((self._virtual + demand, next(self._seq), process))
+        jobs.push((self._virtual + demand, next(self._seq), customer))
         self.population.add(1)
         if not n:
             self.busy.set(1)
@@ -259,7 +276,7 @@ class PSServer(Server):
         jobs = self._jobs
         virtual = self._virtual + (now - self._last_update) / len(jobs)
         self._last_update = now
-        finish_virtual, _seq, process = jobs.pop()
+        finish_virtual, _seq, customer = jobs.pop()
         # Pin the virtual clock to the finish value to stop drift compounding.
         self._virtual = finish_virtual if finish_virtual > virtual else virtual
         self.population.add(-1)
@@ -267,7 +284,7 @@ class PSServer(Server):
             self.busy.set(0)
         self.completions += 1
         self._reschedule(now)
-        process.resume_now()
+        customer.resume_now()
 
     def abort_all(self) -> int:
         flushed = len(self._jobs)
@@ -285,18 +302,18 @@ class PSServer(Server):
 class _DelayJob:
     """One customer at a :class:`DelayStation`; its own completion callback."""
 
-    __slots__ = ("server", "process")
+    __slots__ = ("server", "customer")
 
-    def __init__(self, server: "DelayStation", process: Process) -> None:
+    def __init__(self, server: "DelayStation", customer: Customer) -> None:
         self.server = server
-        self.process = process
+        self.customer = customer
 
     def __call__(self) -> None:
         server = self.server
         server.population.add(-1)
         server.busy.add(-1)
         server.completions += 1
-        self.process.resume_now()
+        self.customer.resume_now()
 
 
 class DelayStation(Server):
@@ -311,16 +328,17 @@ class DelayStation(Server):
     def __init__(self, sim, name: str = "delay") -> None:
         super().__init__(sim, name)
 
-    def _accept(self, process: Process, demand: float) -> None:
+    def _accept(self, customer: Customer, demand: float) -> None:
         now = self.sim.now
         self.population.add(1)
         self.busy.add(1)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)
-        self._equeue.rent(now + demand, _DelayJob(self, process), self._done_label)
+        self._equeue.rent(now + demand, _DelayJob(self, customer), self._done_label)
 
 
 __all__ = [
+    "Customer",
     "ServiceRequest",
     "Server",
     "FCFSServer",
