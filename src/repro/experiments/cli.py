@@ -16,8 +16,9 @@ there is all it takes to get a subcommand::
     repro-experiments study studies/core.json    # run a committed study
     repro-experiments report --out report.md
 
-Simulation experiments accept ``--jobs`` (process-pool fan-out; results
-are bit-identical to serial runs) and use the content-addressed result
+Simulation experiments accept ``--jobs`` (process-pool fan-out over all
+cores by default, ``--jobs 1`` for serial; results are bit-identical to
+serial runs) and use the content-addressed result
 cache by default (``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``; see
 ``docs/parallel_and_caching.md``).  ``study`` runs a
 :class:`~repro.ablation.spec.StudySpec` JSON file (see
@@ -57,11 +58,11 @@ def _execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=0,
         metavar="N",
         help=(
-            "worker processes for simulation cells (default: 1 = serial; "
-            "0 or negative = all cores); results are identical to serial runs"
+            "worker processes for simulation cells (default: 0 = all cores; "
+            "1 = serial); results are identical to serial runs"
         ),
     )
     parser.add_argument(

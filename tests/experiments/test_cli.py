@@ -75,7 +75,7 @@ class TestParser:
 class TestJobsAndCacheFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["table8"])
-        assert args.jobs == 1
+        assert args.jobs == 0  # all cores
         assert args.cache_dir is None
         assert args.no_cache is False
 
