@@ -11,11 +11,14 @@ that promise by timing a fixed simulation workload:
   worktree of the pre-telemetry commit) running the identical workload
   through the same public API.
 
-Each measurement is best-of-N in a fresh subprocess (imports excluded —
-the child times only the simulation), so results are robust to warm
-caches and CI jitter.  Exit status is 1 when the overhead exceeds the
-threshold (default 3%), making the check scriptable; CI runs it
-non-blocking and posts the number in the job summary.
+Every run is a fresh subprocess that times only the simulation (imports
+excluded).  The variants run interleaved in rounds, one run of each per
+round, with the order reversed on every other round, so drift of the
+host's speed during the measurement reaches both sides of a ratio
+alike.  Each gate takes the median of its per-round ratios and prints
+their quartile spread next to it.  Exit status is 1 when the overhead
+exceeds the threshold (default 3%), making the check scriptable; CI runs
+it non-blocking and posts the number in the job summary.
 
 Without ``--baseline`` the script still reports the absolute timing of
 the current tree plus the *enabled*-tracing cost.  The enabled cost is
@@ -41,9 +44,10 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -106,9 +110,33 @@ def time_once(src_dir: pathlib.Path, snippet: str) -> float:
     return float(completed.stdout.strip().splitlines()[-1])
 
 
-def best_of(src_dir: pathlib.Path, snippet: str, repeats: int) -> float:
-    """Minimum of *repeats* runs — the standard noise-robust estimator."""
-    return min(time_once(src_dir, snippet) for _ in range(repeats))
+def interleaved(
+    variants: Dict[str, Tuple[pathlib.Path, str]], rounds: int
+) -> Dict[str, List[float]]:
+    """Time each variant once per round, reversing the order every round.
+
+    Returns each variant's times in round order, so ``times[a][i]`` and
+    ``times[b][i]`` were measured side by side.
+    """
+    names = list(variants)
+    times: Dict[str, List[float]] = {name: [] for name in names}
+    for index in range(rounds):
+        for name in names if index % 2 == 0 else reversed(names):
+            times[name].append(time_once(*variants[name]))
+    return times
+
+
+def overhead_pcts(measured: List[float], reference: List[float]) -> List[float]:
+    """Per-round overhead of *measured* over *reference*, in percent."""
+    return [100.0 * (m - r) / r for m, r in zip(measured, reference)]
+
+
+def spread(pcts: List[float]) -> str:
+    """``median [q1, q3]`` of per-round percentages."""
+    if len(pcts) < 2:
+        return f"{pcts[0]:+.1f}% (one round)"
+    q1, median, q3 = statistics.quantiles(pcts, n=4, method="inclusive")
+    return f"{median:+.1f}% [quartiles {q1:+.1f}%, {q3:+.1f}%]"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -120,7 +148,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="src/ directory of a baseline checkout to compare against",
     )
     parser.add_argument(
-        "--repeats", type=int, default=5, help="runs per measurement (default 5)"
+        "--repeats",
+        type=int,
+        default=7,
+        help="interleaved rounds, one run of each variant per round (default 7)",
     )
     parser.add_argument(
         "--threshold",
@@ -151,41 +182,58 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    snippet = WORKLOAD.format(warmup=args.warmup, duration=args.duration)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     current_src = REPO_ROOT / "src"
-    lines: List[str] = []
+    variants = {
+        "disabled": (
+            current_src,
+            WORKLOAD.format(warmup=args.warmup, duration=args.duration),
+        ),
+        "enabled": (
+            current_src,
+            WORKLOAD_ENABLED.format(warmup=args.warmup, duration=args.duration),
+        ),
+    }
+    if args.baseline is not None:
+        variants["baseline"] = (
+            pathlib.Path(args.baseline),
+            WORKLOAD.format(warmup=args.warmup, duration=args.duration),
+        )
+    times = interleaved(variants, args.repeats)
+    current = statistics.median(times["disabled"])
+    enabled = statistics.median(times["enabled"])
+    lines: List[str] = [
+        f"{args.repeats} interleaved rounds; medians, per-round ratio quartiles",
+        f"current tree (telemetry disabled): {current:.3f}s",
+    ]
 
-    current = best_of(current_src, snippet, args.repeats)
-    lines.append(f"current tree (telemetry disabled): {current:.3f}s")
-
-    enabled_snippet = WORKLOAD_ENABLED.format(
-        warmup=args.warmup, duration=args.duration
-    )
-    enabled = best_of(current_src, enabled_snippet, args.repeats)
-    enabled_pct = 100.0 * (enabled - current) / current
+    enabled_pcts = overhead_pcts(times["enabled"], times["disabled"])
+    enabled_pct = statistics.median(enabled_pcts)
     enabled_verdict = "OK" if enabled_pct <= args.threshold_enabled else "FAIL"
     lines.append(
         f"current tree (spans + decision audit): {enabled:.3f}s "
-        f"({enabled_pct:+.1f}%; threshold {args.threshold_enabled:.1f}%) "
+        f"({spread(enabled_pcts)}; threshold {args.threshold_enabled:.1f}%) "
         f"[{enabled_verdict}]"
     )
 
     failed = enabled_verdict == "FAIL"
     if args.baseline is not None:
-        baseline_src = pathlib.Path(args.baseline)
-        baseline = best_of(baseline_src, snippet, args.repeats)
-        overhead_pct = 100.0 * (current - baseline) / baseline
+        baseline = statistics.median(times["baseline"])
+        overhead = overhead_pcts(times["disabled"], times["baseline"])
+        overhead_pct = statistics.median(overhead)
         verdict = "OK" if overhead_pct <= args.threshold else "FAIL"
         failed = failed or verdict == "FAIL"
         lines.append(f"baseline checkout:                      {baseline:.3f}s")
         lines.append(
-            f"disabled-telemetry overhead:            {overhead_pct:+.2f}% "
+            f"disabled-telemetry overhead:            {spread(overhead)} "
             f"(threshold {args.threshold:.1f}%) [{verdict}]"
         )
         summary_line = (
             f"**Disabled-telemetry overhead:** {overhead_pct:+.2f}% "
             f"(current {current:.3f}s vs baseline {baseline:.3f}s, "
-            f"best of {args.repeats}; threshold {args.threshold:.1f}%) — {verdict}. "
+            f"median of {args.repeats} interleaved rounds; threshold "
+            f"{args.threshold:.1f}%) — {verdict}. "
             f"**Tracing (spans+audit) overhead:** {enabled_pct:+.1f}% "
             f"(threshold {args.threshold_enabled:.1f}%) — {enabled_verdict}"
         )
