@@ -22,7 +22,7 @@ workload, they only place it differently.
 from __future__ import annotations
 
 import random
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.model.config import SystemConfig
 from repro.model.query import Query, make_query
@@ -130,13 +130,20 @@ class WorkloadGenerator:
             return 0.0
         return rng.expovariate(1.0 / mean)
 
-    def disk_time(self, rng: random.Random) -> float:
-        """One page-read service time: U(disk_time ± dev·disk_time)."""
+    def disk_time_bounds(self) -> Tuple[float, Optional[float]]:
+        """A page read's service time, U(disk_time ± dev·disk_time).
+
+        Returns ``(low, width)``: a read takes ``low + width * u`` for
+        one ``u = rng.random()``, which is ``rng.uniform`` over the band
+        in its own float order, or exactly ``low`` without a draw when
+        *width* is ``None`` (``disk_time_dev == 0``).
+        """
         spec = self.config.site
         half_width = spec.disk_time * spec.disk_time_dev
         if half_width == 0:
-            return spec.disk_time
-        return rng.uniform(spec.disk_time - half_width, spec.disk_time + half_width)
+            return spec.disk_time, None
+        low = spec.disk_time - half_width
+        return low, (spec.disk_time + half_width) - low
 
     def cpu_burst(self, query: Query, rng: random.Random) -> float:
         """One per-page CPU burst: exponential with the class mean."""

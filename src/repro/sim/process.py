@@ -12,7 +12,7 @@ yields kernel commands and is resumed when the command completes:
   service completes.
 * ``yield continuation`` — a :class:`Continuation` takes the process's
   place in resource queues and issues several services in a row from
-  their completions; the process resumes after the last one.
+  inside their completions; the process resumes after the last one.
 
 Sub-behaviours compose with plain ``yield from``, since the driver only ever
 sees the flattened stream of commands.
@@ -25,17 +25,18 @@ passivating.
 Hot-path layout (see ``docs/performance.md``): every generator resume is
 one kernel event, so :meth:`Process._schedule_resume` is among the
 hottest call sites in a run.  It rents a recyclable event from the
-future-event list (no per-resume ``Event``/lambda allocation), reuses a
-cached bound resume callback with the pending value parked in a slot,
-and a precomputed trace label.  The rented event's handle never leaves
-the process (``_resume_event`` is cleared before the generator runs),
-which is what makes the queue's free-list reuse safe.  A zero-delay
-resume (:meth:`Process.resume_now`, ``activate()``, ``Hold(0)``) is due
-at the current instant, so it waits in the queue's same-instant lane
-instead of the heap.  A :class:`Continuation` rents that same resume
-event at each completion but runs its own step when it fires, so a
-chain of services costs no generator resume, no ``yield from`` frames
-and no command object per service.
+future-event list (no per-resume ``Event``/lambda allocation) whose
+callback is the process itself, with the pending value parked in a
+slot, and a precomputed trace label.  The rented event's handle never
+leaves the process (``_resume_event`` is cleared before the generator
+runs), which is what makes the queue's free-list reuse safe.  A
+zero-delay resume (:meth:`Process.resume_now`, ``activate()``,
+``Hold(0)``) is due at the current instant, so it waits in the queue's
+same-instant lane instead of the heap.  A :class:`Continuation` rents no
+event at all: each completion runs its next step inside the
+completion's own callback, so a chain of services costs no generator
+resume, no ``yield from`` frames, no command object and no resume
+event per service.
 """
 
 from __future__ import annotations
@@ -115,20 +116,20 @@ class Continuation(Command):
     A plain command hands its process to one resource, which resumes the
     process when the service completes.  A continuation is handed to
     resources *in the process's place*: a resource calls its
-    :meth:`resume_now` at each completion, which rents exactly the event
-    the process's own resume would (the current instant, the process's
-    resume label, :data:`~repro.sim.events.DEFAULT_PRIORITY`) and parks
-    it in the process's ``_resume_event``, so :meth:`Process.interrupt`
-    cancels it like any pending resume and throws into the generator at
-    the ``yield``.  When the event fires, :meth:`advance` runs instead of
-    the generator: it either hands the continuation to the next resource
-    or calls :meth:`finish`, which steps the generator at last.
+    :meth:`resume_now` at each completion, and :meth:`advance` runs at
+    once, inside the completion's callback.  It either hands the
+    continuation to the next resource or steps the generator itself
+    (``process._step``); no resume event is rented on the way.
 
-    The process stays WAITING while a resource holds the continuation and
-    SCHEDULED while its event is pending, as it would for a plain
-    service, so the state checks are the same.  Subclasses implement
-    :meth:`begin` (the first service, issued when the process yields the
-    continuation) and :meth:`advance`.
+    The process stays WAITING for as long as a resource holds the
+    continuation, so :meth:`resume_now` checks that state as
+    :meth:`Process.resume_now` does.  There is no pending resume for
+    :meth:`Process.interrupt` to cancel: whoever interrupts must first
+    flush the resources serving the continuation (``Server.abort_all``),
+    or their next completion finds the process in the wrong state and
+    raises :class:`~repro.sim.errors.ProcessError`.  Subclasses
+    implement :meth:`begin` (the first service, issued when the process
+    yields the continuation) and :meth:`advance`.
     """
 
     __slots__ = ("process",)
@@ -142,7 +143,7 @@ class Continuation(Command):
         raise NotImplementedError
 
     def advance(self) -> None:
-        """Run at a completion's resume instant: serve on, or :meth:`finish`."""
+        """Run inside a completion: serve on, or step the process."""
         raise NotImplementedError
 
     def resume_now(self) -> None:
@@ -152,22 +153,7 @@ class Continuation(Command):
             raise ProcessError(
                 f"{process.name}: resume_now() on a {process._state.value} process"
             )
-        process._state = ProcessState.SCHEDULED
-        # The continuation is its own event callback: a bound method kept
-        # on it would make a reference cycle per command.
-        process._resume_event = process._queue.rent(
-            process.sim.now, self, process._resume_label
-        )
-
-    def __call__(self) -> None:
-        process = self.process
-        process._resume_event = None
-        process._state = ProcessState.WAITING
         self.advance()
-
-    def finish(self) -> None:
-        """Resume the generator: the continuation's work is done."""
-        self.process._step(None)
 
 
 class ProcessState(enum.Enum):
@@ -185,6 +171,8 @@ class Process:
     """A simulated process wrapping a command-yielding generator.
 
     Create processes with :meth:`repro.sim.engine.Simulator.launch`.
+    A process is the callback of its own rented resume events: calling
+    it delivers the parked value to the generator.
 
     Attributes:
         sim: The owning simulator.
@@ -202,7 +190,6 @@ class Process:
         "_resume_event",
         "_resume_value",
         "_resume_label",
-        "_resume_bound",
         "_on_terminate",
         "_queue",
     )
@@ -218,7 +205,6 @@ class Process:
         self._resume_event: Optional[Event] = None
         self._resume_value: Any = None
         self._resume_label = self.name + ":resume"
-        self._resume_bound = self._resume
         self._on_terminate: List[Callable[["Process"], None]] = []
         self._queue = sim._queue
         self.result: Any = None
@@ -257,9 +243,10 @@ class Process:
 
         The process may catch it to implement preemption/migration logic; an
         uncaught exception terminates the process and propagates.  A
-        pending resume, a :class:`Continuation`'s included, is cancelled.
-        A resource still serving the process (or its continuation) is
-        not told: flush it first (``Server.abort_all``).
+        pending resume is cancelled.  A resource still serving the
+        process (or its :class:`Continuation`) is not told: flush it
+        first (``Server.abort_all``), or its completion later finds the
+        process in the wrong state and raises :class:`ProcessError`.
         """
         if self._state in (ProcessState.TERMINATED, ProcessState.RUNNING):
             raise ProcessError(
@@ -290,10 +277,12 @@ class Process:
         self._state = ProcessState.SCHEDULED
         self._resume_value = value
         self._resume_event = self._queue.rent(
-            self.sim.now + delay, self._resume_bound, self._resume_label
+            self.sim.now + delay, self, self._resume_label
         )
 
-    def _resume(self) -> None:
+    def __call__(self) -> None:
+        # The process is its own resume callback: a bound method kept on
+        # it would make a reference cycle per process.
         value = self._resume_value
         self._resume_value = None
         self._step(value)
@@ -313,7 +302,7 @@ class Process:
         self._state = ProcessState.SCHEDULED
         self._resume_value = value
         self._resume_event = self._queue.rent(
-            self.sim.now, self._resume_bound, self._resume_label
+            self.sim.now, self, self._resume_label
         )
 
     def _step(self, value: Any) -> None:

@@ -20,10 +20,12 @@ and a completion count) so experiments can read statistics without
 instrumenting model code.
 
 A station serves *customers*: anything with a ``resume_now()`` it calls
-when the customer's service completes.  That is a :class:`Process`
-(through :class:`ServiceRequest`) or a
+when the customer's service completes, as the last step of the
+completion's callback.  That is a :class:`Process` (through
+:class:`ServiceRequest`), which rents its resume event, or a
 :class:`~repro.sim.process.Continuation`, which model code hands to
-``_accept`` directly to chain services without resuming its process.
+``_accept`` directly and which joins its next station, or steps its
+process, inside that call.
 
 Hot-path layout (see ``docs/performance.md``): a disk read or CPU burst
 is the unit of work every query repeats, so the stations carry no
@@ -46,7 +48,9 @@ from repro.sim.process import Command, Continuation, Process
 
 _INFINITY = math.inf
 
-#: What a station serves and resumes at completion.
+#: What a station serves and resumes at completion: a process, resumed
+#: by a rented event, or a continuation, which moves on inside the
+#: completion's callback (the station's bookkeeping is done by then).
 Customer = Union[Process, Continuation]
 
 
