@@ -9,7 +9,11 @@ moves, repeats or aborts visits, and pins three values of one short run:
 * ``sim.events_fired``;
 * the sha256 of the canonical JSON of the run's results.
 
-A change to how read cycles are scheduled must keep all three.
+The results sha256 is the contract: a change to how read cycles are
+scheduled must keep it.  The trace digest and ``events_fired`` pin the
+kernel's event order; a change that moves them on purpose (10.0.0
+serves the next burst inside the completion) re-records them, and only
+them, on its own.
 """
 
 from __future__ import annotations
@@ -77,51 +81,51 @@ SCENARIOS = {
 #: scenario -> (trace digest, trace records, events fired, results sha256)
 PINS = {
     "migration": (
-        "853fba42f5468abd65d4d543b051d470",
-        10361,
-        6062,
+        "f9215c5f5049239ba735ad12a0978219",
+        7629,
+        3330,
         "612c8beafa3628bfc662aca0b454c126"
         "208e6f03e93b7cabe837ed6f98818f97",
     ),
     "pipelines": (
-        "2858c94492255de382afdea2fb319161",
-        10278,
-        5808,
+        "0bda19a54bc7c5e3b253edc759f40c99",
+        7541,
+        3071,
         "9680cf1bb398fd8e092629128e2ecbca"
         "1c040c95c35a67d44b863dde08b20636",
     ),
     "updates": (
-        "f1aa709c33eac0b6d9b7827e9bb6df85",
-        11606,
-        6621,
+        "8ef74f0cd6a371d5fa997cd973d72783",
+        8458,
+        3473,
         "a73c09d1c9166b2d687d4ab7068fbffc"
         "172d659927b7392a26dd5a913df0db97",
     ),
     "speeds": (
-        "1775602f326f06577ff83472c669014e",
-        10031,
-        5699,
+        "7d7c7480ea51a3e3ff30b6629b27de38",
+        7277,
+        2945,
         "2d39392059a8ffc88a8ce76b57ecfe71"
         "0a25a3962115f156c60b64e91361a98b",
     ),
     "shared_disks": (
-        "a38f7b84d9206d94d38d7435859c01e0",
-        8669,
-        5696,
+        "fd83989930070eaabf561d78275a835b",
+        5903,
+        2930,
         "c6997b83a40445f5694a738760cb148a"
         "051e67a2d666d3b31df4c99ecf341e80",
     ),
     "one_disk": (
-        "66d208075058abba98f72608bba0eff4",
-        8547,
-        5614,
+        "3acfb1e15272c6885e6c32d7ff8eb816",
+        5815,
+        2882,
         "cee0da8432f9bbe6063ba87b105d755a"
         "12203e05caba9abaedf4ff876b9c1367",
     ),
     "outage": (
-        "7597974e7498abd35e09c573bf2aaa15",
-        10065,
-        5725,
+        "a46e2782c27f47e19dd0c64d699cbd28",
+        7309,
+        2969,
         "b27d3e0514608052e44e4101e5b0a216"
         "620e0126b1ec47fc953e0b6b234b1b55",
     ),

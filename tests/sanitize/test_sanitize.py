@@ -193,6 +193,6 @@ def test_cli_smoke_output_is_pinned(capsys):
     assert main(["--smoke"]) == 0
     out = capsys.readouterr().out
     assert out == (
-        "replays identical: 15235 records, "
-        "digest b790bf58cf35e746b2c42a81e9108e01\n"
+        "replays identical: 11144 records, "
+        "digest b4e53a395190f6b8ed6f0d4fee0a9f1b\n"
     )
