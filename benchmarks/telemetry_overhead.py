@@ -12,13 +12,19 @@ that promise by timing a fixed simulation workload:
   through the same public API.
 
 Every run is a fresh subprocess that times only the simulation (imports
-excluded).  The variants run interleaved in rounds, one run of each per
-round, with the order reversed on every other round, so drift of the
-host's speed during the measurement reaches both sides of a ratio
-alike.  Each gate takes the median of its per-round ratios and prints
-their quartile spread next to it.  Exit status is 1 when the overhead
-exceeds the threshold (default 3%), making the check scriptable; CI runs
-it non-blocking and posts the number in the job summary.
+excluded) in process CPU time, so time the process spends descheduled
+on a shared host does not count.  The variants run interleaved in
+rounds, one run of each per round, with the order reversed on every
+other round, so drift of the host's speed during the measurement
+reaches both sides of a ratio alike.  Each gate takes the median of its
+per-round overheads and a paired bootstrap confidence interval of that
+median (whole rounds are resampled, so each ratio keeps its two
+timings).  A gate passes only when the interval's upper end is under
+its threshold, fails only when the lower end is over it, and is
+unresolved otherwise: a spread wider than the threshold cannot tell 5%
+from 15%, and says so instead of flipping.  Exit status is 1 when a gate
+fails, 2 when none fails but one is unresolved, and 0 when all pass; CI
+runs it non-blocking and posts the numbers in the job summary.
 
 Without ``--baseline`` the script still reports the absolute timing of
 the current tree plus the *enabled*-tracing cost.  The enabled cost is
@@ -44,6 +50,7 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import random
 import statistics
 import subprocess
 import sys
@@ -62,10 +69,10 @@ from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
 config = paper_defaults()
-started = time.perf_counter()
+started = time.process_time()
 system = DistributedDatabase(config, make_policy("LERT"), seed=11)
 system.run(warmup={warmup}, duration={duration})
-print(time.perf_counter() - started)
+print(time.process_time() - started)
 """
 
 #: Same workload with tracing attached (current tree only): the
@@ -80,14 +87,14 @@ from repro.policies.registry import make_policy
 from repro.telemetry.session import TelemetryConfig, TelemetrySession
 
 config = paper_defaults()
-started = time.perf_counter()
+started = time.process_time()
 system = DistributedDatabase(config, make_policy("LERT"), seed=11)
 session = TelemetrySession(
     system, TelemetryConfig(events=False, spans=True, decisions=True)
 )
 system.run(warmup={warmup}, duration={duration})
 session.close()
-print(time.perf_counter() - started)
+print(time.process_time() - started)
 """
 
 
@@ -131,12 +138,42 @@ def overhead_pcts(measured: List[float], reference: List[float]) -> List[float]:
     return [100.0 * (m - r) / r for m, r in zip(measured, reference)]
 
 
-def spread(pcts: List[float]) -> str:
-    """``median [q1, q3]`` of per-round percentages."""
-    if len(pcts) < 2:
-        return f"{pcts[0]:+.1f}% (one round)"
-    q1, median, q3 = statistics.quantiles(pcts, n=4, method="inclusive")
-    return f"{median:+.1f}% [quartiles {q1:+.1f}%, {q3:+.1f}%]"
+#: Bootstrap resamples per interval, and the interval's coverage.
+RESAMPLES = 4000
+LEVEL = 0.95
+
+
+def bootstrap_ci(pcts: List[float], seed: int = 0) -> Tuple[float, float]:
+    """Paired bootstrap interval of the median per-round overhead.
+
+    Each resample draws whole rounds with replacement, so both timings
+    of a round stay together; the seed makes the interval a function of
+    the measurements alone.
+    """
+    rng = random.Random(seed)
+    count = len(pcts)
+    medians = sorted(
+        statistics.median(rng.choices(pcts, k=count)) for _ in range(RESAMPLES)
+    )
+    tail = int(RESAMPLES * (1.0 - LEVEL) / 2.0)
+    return medians[tail], medians[RESAMPLES - 1 - tail]
+
+
+def gate(pcts: List[float], threshold: float) -> Tuple[str, str]:
+    """The verdict on *pcts* against *threshold*, and its report."""
+    median = statistics.median(pcts)
+    low, high = bootstrap_ci(pcts)
+    if high < threshold:
+        verdict = "OK"
+    elif low > threshold:
+        verdict = "FAIL"
+    else:
+        verdict = "UNRESOLVED"
+    report = (
+        f"{median:+.1f}% [{LEVEL:.0%} CI {low:+.1f}%, {high:+.1f}%; "
+        f"threshold {threshold:.1f}%] [{verdict}]"
+    )
+    return verdict, report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -150,8 +187,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--repeats",
         type=int,
-        default=7,
-        help="interleaved rounds, one run of each variant per round (default 7)",
+        default=11,
+        help="interleaved rounds, one run of each variant per round (default 11)",
     )
     parser.add_argument(
         "--threshold",
@@ -204,53 +241,45 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     current = statistics.median(times["disabled"])
     enabled = statistics.median(times["enabled"])
     lines: List[str] = [
-        f"{args.repeats} interleaved rounds; medians, per-round ratio quartiles",
+        f"{args.repeats} interleaved rounds; median CPU seconds, "
+        f"median per-round overhead with its paired bootstrap interval",
         f"current tree (telemetry disabled): {current:.3f}s",
     ]
 
-    enabled_pcts = overhead_pcts(times["enabled"], times["disabled"])
-    enabled_pct = statistics.median(enabled_pcts)
-    enabled_verdict = "OK" if enabled_pct <= args.threshold_enabled else "FAIL"
-    lines.append(
-        f"current tree (spans + decision audit): {enabled:.3f}s "
-        f"({spread(enabled_pcts)}; threshold {args.threshold_enabled:.1f}%) "
-        f"[{enabled_verdict}]"
+    enabled_verdict, enabled_report = gate(
+        overhead_pcts(times["enabled"], times["disabled"]), args.threshold_enabled
     )
-
-    failed = enabled_verdict == "FAIL"
+    lines.append(
+        f"current tree (spans + decision audit): {enabled:.3f}s ({enabled_report})"
+    )
+    verdicts = [enabled_verdict]
     if args.baseline is not None:
         baseline = statistics.median(times["baseline"])
-        overhead = overhead_pcts(times["disabled"], times["baseline"])
-        overhead_pct = statistics.median(overhead)
-        verdict = "OK" if overhead_pct <= args.threshold else "FAIL"
-        failed = failed or verdict == "FAIL"
-        lines.append(f"baseline checkout:                      {baseline:.3f}s")
-        lines.append(
-            f"disabled-telemetry overhead:            {spread(overhead)} "
-            f"(threshold {args.threshold:.1f}%) [{verdict}]"
+        verdict, report = gate(
+            overhead_pcts(times["disabled"], times["baseline"]), args.threshold
         )
+        verdicts.append(verdict)
+        lines.append(f"baseline checkout:                      {baseline:.3f}s")
+        lines.append(f"disabled-telemetry overhead:            {report}")
         summary_line = (
-            f"**Disabled-telemetry overhead:** {overhead_pct:+.2f}% "
-            f"(current {current:.3f}s vs baseline {baseline:.3f}s, "
-            f"median of {args.repeats} interleaved rounds; threshold "
-            f"{args.threshold:.1f}%) — {verdict}. "
-            f"**Tracing (spans+audit) overhead:** {enabled_pct:+.1f}% "
-            f"(threshold {args.threshold_enabled:.1f}%) — {enabled_verdict}"
+            f"**Disabled-telemetry overhead:** {report} (current {current:.3f}s "
+            f"vs baseline {baseline:.3f}s, {args.repeats} interleaved rounds). "
+            f"**Tracing (spans+audit) overhead:** {enabled_report}"
         )
     else:
         lines.append("no --baseline given: skipping the disabled-overhead gate")
         summary_line = (
             f"**Telemetry timings:** disabled {current:.3f}s, "
-            f"spans+audit {enabled:.3f}s ({enabled_pct:+.1f}%, "
-            f"threshold {args.threshold_enabled:.1f}%) — {enabled_verdict}; "
-            f"no baseline compared"
+            f"spans+audit {enabled:.3f}s ({enabled_report}); no baseline compared"
         )
 
     print("\n".join(lines))
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as handle:
             handle.write(summary_line + "\n")
-    return 1 if failed else 0
+    if "FAIL" in verdicts:
+        return 1
+    return 2 if "UNRESOLVED" in verdicts else 0
 
 
 if __name__ == "__main__":
