@@ -129,7 +129,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "DistributedDatabase",
