@@ -10,6 +10,7 @@ the same stale "least-loaded" victim (eventually worse than LOCAL).
 
 from repro.experiments.common import AveragedResults
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
@@ -26,7 +27,7 @@ def _run(settings):
             config,
             make_policy("LERT"),
             seed=settings.seed_for(0),
-            refresh_interval=interval,
+            mechanisms=Mechanisms(refresh_interval=interval),
         )
         result = system.run(settings.warmup, settings.duration)
         waits[interval] = result.mean_waiting_time

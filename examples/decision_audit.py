@@ -26,6 +26,7 @@ from typing import Sequence
 from repro import (
     DecisionRecord,
     DistributedDatabase,
+    Mechanisms,
     RunReport,
     RunSpec,
     TelemetryConfig,
@@ -68,7 +69,7 @@ def audit_stale_run(refresh_interval: float) -> RunReport:
         paper_defaults(),
         make_policy(POLICY),
         seed=SEED,
-        refresh_interval=refresh_interval,
+        mechanisms=Mechanisms(refresh_interval=refresh_interval),
     )
     spec = RunSpec(
         warmup=WARMUP,

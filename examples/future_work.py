@@ -1,7 +1,7 @@
 """The paper's future-work directions, running.
 
 Four extensions built on the same model, each a mechanism of
-``DistributedDatabase`` itself, set by keyword parameters:
+``DistributedDatabase`` itself, set by its ``Mechanisms``:
 
 1. **Stale load information** — the paper assumes free, always-current load
    state; here information refreshes periodically, and the example shows
@@ -19,7 +19,7 @@ Four extensions built on the same model, each a mechanism of
 Run:  python examples/future_work.py
 """
 
-from repro import DistributedDatabase, make_policy, paper_defaults
+from repro import DistributedDatabase, Mechanisms, make_policy, paper_defaults
 from repro.model.replication import ReplicationMap
 
 WARMUP = 1500.0
@@ -38,7 +38,10 @@ def main() -> None:
     print("1) Load-information staleness (refresh interval sweep):")
     for interval in (5.0, 25.0, 100.0, 400.0):
         system = DistributedDatabase(
-            config, make_policy("LERT"), seed=SEED, refresh_interval=interval
+            config,
+            make_policy("LERT"),
+            seed=SEED,
+            mechanisms=Mechanisms(refresh_interval=interval),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(f"   refresh {interval:6.1f}: W={result.mean_waiting_time:6.2f}")
@@ -50,8 +53,7 @@ def main() -> None:
             config,
             make_policy("LERT"),
             seed=SEED,
-            threshold=threshold,
-            max_migrations=2,
+            mechanisms=Mechanisms(threshold=threshold, max_migrations=2),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(
@@ -66,7 +68,10 @@ def main() -> None:
             config.num_sites, num_items=24, copies=copies
         )
         system = DistributedDatabase(
-            config, make_policy("LERT"), seed=SEED, replication=replication
+            config,
+            make_policy("LERT"),
+            seed=SEED,
+            mechanisms=Mechanisms(replication=replication),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(
@@ -90,9 +95,9 @@ def main() -> None:
             config,
             make_policy(name),
             seed=SEED,
-            replication=replication,
-            multi_prob=0.5,
-            subquery_count=3,
+            mechanisms=Mechanisms(
+                replication=replication, multi_prob=0.5, subquery_count=3
+            ),
         )
         result = system.run(warmup=WARMUP, duration=DURATION)
         print(

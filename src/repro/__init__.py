@@ -38,7 +38,7 @@ Subpackages:
 * The paper's §6.2 future work and relaxed assumptions — query
   migration, subquery pipelines, stale load info, update queries,
   heterogeneous CPU speeds and partial replication — are mechanisms of
-  :class:`DistributedDatabase` itself (keyword-only parameters).
+  :class:`DistributedDatabase` itself, set by its :class:`Mechanisms`.
 * :mod:`repro.telemetry` — typed event bus, a session that buffers one
   run's events, timeline sampler, exporters, query-lifecycle spans, and
   the allocation decision audit (see ``docs/telemetry.md``).
@@ -102,6 +102,7 @@ from repro.model.metrics import (
     SystemResults,
     WorkloadSummary,
 )
+from repro.model.mechanisms import Mechanisms
 from repro.model.system import DistributedDatabase
 from repro.model.view import SystemView
 from repro.policies.base import AllocationPolicy
@@ -129,10 +130,11 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "DistributedDatabase",
+    "Mechanisms",
     "SystemConfig",
     "SiteSpec",
     "NetworkSpec",

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.codec import OMIT_DEFAULT, freeze
-from repro.experiments.parallel import check_system
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig, set_config_parameter
+from repro.model.mechanisms import check_system
 from repro.workloads.spec import WorkloadSpec
 
 #: Each metric a study may rank by, and the
@@ -62,7 +62,7 @@ class BaselineRun:
     Attributes:
         policy: Registered allocation policy of the baseline.
         system_kind: Which mechanisms the system switches on (a key of
-            :data:`~repro.experiments.parallel.SYSTEM_KINDS`).
+            :data:`~repro.model.mechanisms.SYSTEM_KINDS`).
         system_kwargs: The kind's mechanism parameters, as sorted
             ``(name, value)`` pairs.
     """
@@ -120,7 +120,7 @@ class Variant:
             self, "system_kwargs", tuple(sorted(_frozen_pairs(self.system_kwargs)))
         )
         if self.system_kind is not None:
-            check_system(self.system_kind, self.system_kwargs, self.faults)
+            check_system(self.system_kind, self.system_kwargs, faults=self.faults)
         object.__setattr__(
             self, "config_patches", _frozen_pairs(self.config_patches)
         )

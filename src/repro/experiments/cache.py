@@ -104,7 +104,7 @@ def cache_key(
     The key is the SHA-256 hex digest of the canonical JSON serialization
     of every input that determines the run's output.  ``system_kind`` and
     ``system_kwargs`` name the mechanisms the run switches on (a row of
-    :data:`~repro.experiments.parallel.SYSTEM_KINDS`: stale load
+    :data:`~repro.model.mechanisms.SYSTEM_KINDS`: stale load
     information, updates, CPU speeds, ...) and their parameters, so
     mechanism runs never collide with standard ones.  A non-``None``
     *faults* plan is folded into the key (so a faulted run can never be

@@ -193,18 +193,18 @@ def _build_cache(args):
 
 
 @contextlib.contextmanager
-def _progress_scope(enabled: bool) -> Iterator[None]:
-    """Install a stderr progress printer for the enclosed experiment.
+def _progress_scope(args, cache) -> Iterator[StudyContext]:
+    """The study context of one command: ``--jobs``, *cache* and, with
+    ``--progress``, a stderr progress printer as its ``progress``.
 
-    Uses :func:`repro.experiments.parallel.progress_reporting`, so every
-    ``run_tasks`` batch the experiment triggers reports here without any of
-    the table modules knowing about the CLI.  The line is redrawn in place
-    (``\\r``); a final newline keeps subsequent stderr output clean.
+    Every ``run_tasks`` batch the experiment triggers reports to the
+    printer through the context it is handed.  The line is redrawn in
+    place (``\\r``); a final newline keeps subsequent stderr output clean.
     """
-    if not enabled:
-        yield
+    if not args.progress:
+        yield StudyContext(jobs=args.jobs, cache=cache)
         return
-    from repro.experiments.parallel import RunProgress, progress_reporting
+    from repro.experiments.parallel import RunProgress
 
     def report(tick: RunProgress) -> None:
         line = (
@@ -214,11 +214,10 @@ def _progress_scope(enabled: bool) -> Iterator[None]:
         # Pad so a shorter redraw fully overwrites the previous line.
         print(f"\r{line:<60}", end="", file=sys.stderr, flush=True)
 
-    with progress_reporting(report):
-        try:
-            yield
-        finally:
-            print(file=sys.stderr)
+    try:
+        yield StudyContext(jobs=args.jobs, cache=cache, progress=report)
+    finally:
+        print(file=sys.stderr)
 
 
 def _timing_line(name: str, elapsed: float, cache) -> str:
@@ -243,9 +242,8 @@ def _settings_from_args(args):
 
 def _run_experiment(experiment: Experiment, settings, args, cache) -> None:
     """Run one experiment, print its table, report timing to stderr."""
-    context = StudyContext(jobs=args.jobs, cache=cache)
     started = time.perf_counter()
-    with _progress_scope(args.progress):
+    with _progress_scope(args, cache) as context:
         output = experiment.run(settings, context)
     elapsed = time.perf_counter() - started
     print(output)
@@ -280,9 +278,8 @@ def _run_study(spec, args) -> int:
     from repro.ablation import render_study_report, run_study
 
     cache = _build_cache(args)
-    context = StudyContext(jobs=args.jobs, cache=cache)
     started = time.perf_counter()
-    with _progress_scope(args.progress):
+    with _progress_scope(args, cache) as context:
         outcome = run_study(spec, context=context)
     elapsed = time.perf_counter() - started
     print(render_study_report(outcome, markdown=args.markdown))
@@ -316,12 +313,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         cache = _build_cache(args)
         started = time.perf_counter()
-        with _progress_scope(args.progress):
-            write_report(
-                args.out,
-                settings,
-                context=StudyContext(jobs=args.jobs, cache=cache),
-            )
+        with _progress_scope(args, cache) as context:
+            write_report(args.out, settings, context=context)
         print(
             _timing_line("report", time.perf_counter() - started, cache),
             file=sys.stderr,

@@ -3,9 +3,10 @@
 Provides:
 
 * :func:`simulate` — run one (config, policy) pair at given settings,
-  averaging over replications with common random numbers; ``jobs=`` fans
-  replications over a process pool and ``cache=`` reuses cached results
-  (see :mod:`repro.experiments.parallel` / :mod:`repro.experiments.cache`);
+  averaging over replications with common random numbers; its
+  :class:`~repro.experiments.context.StudyContext` fans replications over
+  a process pool and reuses cached results (see
+  :mod:`repro.experiments.parallel` / :mod:`repro.experiments.cache`);
 * :func:`policy_grid` — the cells of a paper table: every policy on every
   config, as one batch, one ``{policy: AveragedResults}`` dict per config;
 * :class:`PolicyComparison` — the W̄ comparisons a table row derives
@@ -129,34 +130,15 @@ def simulate(
     config: SystemConfig,
     policy_name: str,
     settings: RunSettings,
-    *,
-    jobs: Optional[int] = 1,
-    cache=None,
-    progress=None,
+    context: StudyContext = StudyContext(),
 ) -> AveragedResults:
     """Run the system under one policy, averaged over replications.
 
     Replication ``r`` of every policy uses the same master seed, so all
     policies face an identical stream of queries (common random numbers).
-
-    Args:
-        config: System description.
-        policy_name: Registered allocation policy to run.
-        settings: Run lengths, replication count, and base seed.
-        jobs: Worker processes for the replications (default 1 = serial,
-            in-process; 0 or negative = all cores).  Results are identical
-            regardless of the value.
-        cache: Optional :class:`~repro.experiments.cache.ResultCache`;
-            cached replications are reused instead of re-simulated.
-        progress: Optional per-replication progress callback (see
-            :class:`~repro.experiments.parallel.RunProgress`).  Defaults to
-            the callback installed by
-            :func:`~repro.experiments.parallel.progress_reporting`, if any.
-            Display only; results are unaffected.
+    *context* says how to run (workers, result cache, progress); results
+    are identical for any context.
     """
-    context = StudyContext(
-        jobs=1 if jobs is None else jobs, cache=cache, progress=progress
-    )
     (averaged,) = simulate_many(
         [replication_tasks(config, policy_name, settings)], context=context
     )

@@ -46,9 +46,7 @@ class StudyContext:
             are answered from disk and fresh results written back.
         progress: Optional live progress callback (see
             :class:`~repro.experiments.parallel.RunProgress`).  Display
-            only.  When ``None``, the callback installed by
-            :func:`~repro.experiments.parallel.progress_reporting` (if
-            any) still applies.
+            only.
     """
 
     jobs: int = 1

@@ -23,11 +23,12 @@ Public surface:
 * :func:`run_tasks` — execute a batch, optionally parallel and cached;
 * :func:`simulate_many` — run many cells as one batch, one average each;
 * :func:`resolve_jobs` — normalize a ``--jobs`` value to a worker count;
-* :class:`RunProgress` / :func:`progress_reporting` — live progress:
-  ``run_tasks`` invokes a callback as each task resolves (from cache or
-  simulation).  Progress is *observational only* — it is reported in
-  resolution order, which under a pool is nondeterministic, but the
-  returned results remain in task order and bit-identical regardless.
+* :class:`RunProgress` — live progress: ``run_tasks`` invokes a
+  callback (``StudyContext.progress`` for every experiment) as each task
+  resolves, from cache or simulation.  Progress is *observational only* —
+  it is reported in resolution order, which under a pool is
+  nondeterministic, but the returned results remain in task order and
+  bit-identical regardless.
 """
 
 from __future__ import annotations
@@ -35,83 +36,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.context import StudyContext
 from repro.experiments.runconfig import RunSettings
 from repro.faults.plan import FaultPlan
 from repro.model.config import SystemConfig
+from repro.model.mechanisms import check_system
 from repro.model.metrics import SystemResults
 from repro.workloads.spec import WorkloadSpec, normalize_workload
 
 if TYPE_CHECKING:  # common imports this module at run time
     from repro.experiments.common import AveragedResults
-
-#: Placeholder default of a parameter its kind requires.
-_REQUIRED = object()
-
-#: Each simulation-system kind and its mechanism parameters with their
-#: defaults.  A task of kind *k* runs ``DistributedDatabase(...,
-#: **params)`` with the defaults of *k* overridden by ``system_kwargs``.
-SYSTEM_KINDS: Dict[str, Dict[str, Any]] = {
-    "standard": {},
-    "stale": {"refresh_interval": 50.0, "broadcast_cost": 0.0},
-    "updates": {"update_prob": 0.2, "update_pages": 4, "apply_cpu_time": 0.05},
-    "heterogeneous": {"cpu_speed_factors": _REQUIRED},
-}
-
-
-def check_system(
-    kind: str,
-    kwargs: Sequence[Tuple[str, Any]] = (),
-    faults: Optional[FaultPlan] = None,
-) -> None:
-    """Reject a system kind, its parameters or a fault plan up front.
-
-    Raises:
-        ValueError: For an unknown kind, a parameter the kind does not
-            take, a required parameter left out, or a fault plan on the
-            ``"updates"`` kind.
-    """
-    try:
-        defaults = SYSTEM_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown system kind {kind!r}; expected one of {tuple(SYSTEM_KINDS)}"
-        ) from None
-    names = {name for name, _ in kwargs}
-    unknown = sorted(names - set(defaults))
-    missing = sorted(
-        name for name, value in defaults.items() if value is _REQUIRED and name not in names
-    )
-    if unknown or missing:
-        problem = (
-            f"does not take {', '.join(unknown)}"
-            if unknown
-            else f"requires {', '.join(missing)}"
-        )
-        accepted = ", ".join(defaults) or "no parameters"
-        raise ValueError(f"system kind {kind!r} {problem}; it accepts: {accepted}")
-    if faults is not None and not faults.is_noop and kind == "updates":
-        raise ValueError(
-            "the 'updates' system kind cannot run under a fault plan: a site "
-            "crash flushes an apply task's service request and nothing "
-            "resumes that process"
-        )
 
 
 @dataclass(frozen=True)
@@ -136,39 +75,20 @@ class RunProgress:
 #: A live progress consumer (e.g. a CLI spinner).
 ProgressCallback = Callable[[RunProgress], None]
 
-#: Process-wide default progress callback (see :func:`progress_reporting`).
-_active_progress: Optional[ProgressCallback] = None
-
-
-@contextmanager
-def progress_reporting(callback: ProgressCallback) -> Iterator[None]:
-    """Install *callback* as the default progress consumer for this process.
-
-    Every :func:`run_tasks` batch inside the ``with`` block reports to it
-    unless the call passes an explicit ``progress=``.  This lets the CLI
-    thread live progress through the table modules without changing their
-    signatures.  Nestable; the previous callback is restored on exit.
-    """
-    global _active_progress
-    previous = _active_progress
-    _active_progress = callback
-    try:
-        yield
-    finally:
-        _active_progress = previous
-
 
 @dataclass(frozen=True)
 class ReplicationTask:
     """Picklable description of one simulation run.
 
-    ``system_kind`` names a row of :data:`SYSTEM_KINDS` (which of
-    :class:`~repro.model.system.DistributedDatabase`'s mechanisms the run
-    switches on), and ``system_kwargs`` overrides that row's defaults as
-    a sorted tuple of ``(name, value)`` pairs so the task stays hashable
-    and its cache key stays canonical.  Both are checked at construction
-    (:func:`check_system`), so a bad parameter fails here, not in a
-    worker.
+    ``system_kind`` names a row of
+    :data:`~repro.model.mechanisms.SYSTEM_KINDS` (which mechanisms of
+    :class:`~repro.model.system.DistributedDatabase` the run switches
+    on), and ``system_kwargs`` overrides that row's defaults as a sorted
+    tuple of ``(name, value)`` pairs so the task stays hashable and its
+    cache key stays canonical.  Both are checked at construction, names
+    and values against ``config`` and ``faults``
+    (:func:`~repro.model.mechanisms.check_system`), so a bad parameter
+    fails here, not in a worker.
 
     ``faults`` optionally installs a fault plan for the run.  A no-op
     plan is normalized to ``None`` at construction (same run, same cache
@@ -193,7 +113,7 @@ class ReplicationTask:
     workload: Optional[WorkloadSpec] = None
 
     def __post_init__(self) -> None:
-        check_system(self.system_kind, self.system_kwargs, self.faults)
+        check_system(self.system_kind, self.system_kwargs, self.config, self.faults)
         ordered = tuple(sorted(self.system_kwargs))
         object.__setattr__(self, "system_kwargs", ordered)
         if self.faults is not None and self.faults.is_noop:
@@ -258,8 +178,9 @@ def run_task(task: ReplicationTask) -> SystemResults:
     from repro.policies.registry import make_policy
     from repro.runner import RunSpec, execute
 
-    params = dict(SYSTEM_KINDS[task.system_kind])
-    params.update(task.system_kwargs)
+    mechanisms = check_system(
+        task.system_kind, task.system_kwargs, task.config, task.faults
+    )
     # Workloads bind at construction (arrival processes start at time 0),
     # unlike fault plans which execute() installs.
     system = DistributedDatabase(
@@ -267,7 +188,7 @@ def run_task(task: ReplicationTask) -> SystemResults:
         make_policy(task.policy),
         seed=task.seed,
         workload=task.workload,
-        **params,
+        mechanisms=mechanisms,
     )
     spec = RunSpec(
         warmup=task.warmup,
@@ -313,12 +234,10 @@ def run_tasks(
     * With a *cache*, each task is answered from disk when possible and
       fresh results are written back; duplicate tasks within the batch are
       simulated only once.
-    * With *progress* (or an enclosing :func:`progress_reporting`), the
-      callback fires once per task as it resolves — from cache or
-      simulation — in resolution order.  Display only; results are
-      unaffected.
+    * With *progress*, the callback fires once per task as it resolves —
+      from cache or simulation — in resolution order.  Display only;
+      results are unaffected.
     """
-    report = progress if progress is not None else _active_progress
     total = len(tasks)
     resolved = 0
     from_cache = 0
@@ -328,8 +247,8 @@ def run_tasks(
         resolved += count
         if cached:
             from_cache += count
-        if report is not None:
-            report(
+        if progress is not None:
+            progress(
                 RunProgress(
                     completed=resolved,
                     total=total,
@@ -413,12 +332,9 @@ def simulate_many(
 
 
 __all__ = [
-    "SYSTEM_KINDS",
     "ProgressCallback",
-    "check_system",
     "ReplicationTask",
     "RunProgress",
-    "progress_reporting",
     "replication_tasks",
     "resolve_jobs",
     "run_task",

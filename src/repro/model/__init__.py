@@ -4,8 +4,9 @@ Key entry points:
 
 * :func:`paper_defaults` — Table 7's parameter settings.
 * :class:`DistributedDatabase` — the assembled system; ``run()`` it.  Its
-  keyword-only mechanisms relax the paper's assumptions (stale load
-  information, update queries, CPU speeds, a :class:`ReplicationMap`).
+  :class:`Mechanisms` relax the paper's assumptions (stale load
+  information, update queries, CPU speeds, a :class:`ReplicationMap`,
+  migration, subquery pipelines).
 * :class:`SystemConfig` and friends — declarative configuration.
 """
 
@@ -22,6 +23,7 @@ from repro.model.config import (
 )
 from repro.model.balance import BalanceMonitor, BalanceSummary
 from repro.model.loadboard import FrozenLoadView, LoadBoard, LoadView
+from repro.model.mechanisms import Mechanisms
 from repro.model.metrics import MetricsCollector, SystemResults, summarize
 from repro.model.query import Query, make_query
 from repro.model.replication import ReplicationMap
@@ -52,6 +54,7 @@ __all__ = [
     "BalanceSummary",
     "LoadBoard",
     "FrozenLoadView",
+    "Mechanisms",
     "MetricsCollector",
     "SystemResults",
     "summarize",

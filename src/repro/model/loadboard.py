@@ -11,7 +11,7 @@ until its results have been delivered back to the home terminal.  This
 matches the information a real implementation could track: allocations are
 announced, completions are announced.
 
-With ``DistributedDatabase(refresh_interval=...)`` the policies see
+With ``Mechanisms(refresh_interval=...)`` the policies see
 periodically refreshed :class:`FrozenLoadView` snapshots instead.
 """
 

@@ -66,7 +66,7 @@ class Query:
     data_item: Optional[int] = None
 
     #: Times the query moved between sites mid-execution (the
-    #: ``max_migrations`` mechanism of ``DistributedDatabase``); always 0
+    #: ``max_migrations`` parameter of ``Mechanisms``); always 0
     #: when migration is off.
     migrations: int = 0
 

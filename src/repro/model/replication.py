@@ -3,7 +3,7 @@
 §6.2: "we intend to address the general problem of dynamically allocating
 subqueries of distributed queries to sites in an environment with only
 partially replicated data".  With a :class:`ReplicationMap` passed as
-``DistributedDatabase(replication=...)`` each query references one *data
+``Mechanisms(replication=...)`` each query references one *data
 item*, each item is held by some of the ``S`` sites, and the allocator
 may only choose among the holders.  Every policy works unchanged — the
 candidate-site set simply shrinks from "all sites" to "sites holding a

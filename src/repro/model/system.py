@@ -25,50 +25,26 @@ transfers consult the plan's message faults.  Without a plan no pass
 fails and nothing changes — byte-for-byte (a chaos-determinism test pins
 this).
 
-The paper's simplifying assumptions relax one mechanism at a time, each
-set by keyword-only constructor parameters and each off by default:
-
-* **load information** (``refresh_interval``, ``broadcast_cost``) —
-  policies see a snapshot of the load board refreshed periodically by a
-  ``load-broadcaster`` process instead of the paper's free oracle;
-* **per-site CPU speed** (``cpu_speed_factors``) — each
-  :class:`~repro.model.site.DBSite` divides its CPU bursts by its speed;
-* **update queries** (``update_prob``, ``update_pages``,
-  ``apply_cpu_time``) — a fraction of queries propagate their write set
-  to every other replica, where an apply task consumes disk and CPU;
-* **candidate-site map** (``replication``, ``item_weights``) — each query
-  references one data item and may only run at the sites holding it;
-* **migration** (``check_interval``, ``threshold``, ``max_migrations``) —
-  the paper's §6.2 "moving partially executed queries ... between its
-  primitive relational operations": every ``check_interval`` read cycles
-  a running query re-costs its remaining work and moves, with its partial
-  results, to a site cheaper by the ``threshold`` factor, at most
-  ``max_migrations`` times;
-* **subquery pipelines** (``multi_prob``, ``subquery_count``) — §6.2's
-  "allocating subqueries of distributed queries ... with only partially
-  replicated data": a ``multi_prob`` share of queries run as a chain of
-  ``subquery_count`` stages, each reading its own data item and allocated
-  when it starts, with the intermediate result moved between stage sites
-  (a running stage never moves unless migration is on).
-
-Mechanisms compose with each other, with open workloads and with fault
-plans — except updates under a fault plan, which the constructor rejects
-(a site crash flushes an apply task's service request and nothing
-resumes that process).
+The paper's simplifying assumptions relax one mechanism at a time: stale
+load information, per-site CPU speeds, update queries, a candidate-site
+map, migration and subquery pipelines.  Every mechanism parameter, its
+default (off) and its value rules live in
+:class:`~repro.model.mechanisms.Mechanisms`, which the constructor takes
+as ``mechanisms=``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import TYPE_CHECKING, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.faults.errors import NoAvailableSiteError, SiteCrashedError
 from repro.model.config import SystemConfig
 from repro.model.loadboard import LoadBoard, LoadView
+from repro.model.mechanisms import Mechanisms
 from repro.model.metrics import MetricsCollector, SystemResults, summarize
 from repro.model.query import Query
-from repro.model.replication import ReplicationMap, item_cdf
 from repro.model.ring import Message
 from repro.model.subnet import build_subnet
 from repro.model.site import DBSite
@@ -116,33 +92,9 @@ class DistributedDatabase:
             instead.  Workloads bind at construction — the arrival
             processes start at time 0 — so there is no
             ``install_workload`` analogue of :meth:`install_faults`.
-        refresh_interval: Time between load-board snapshots the policies
-            see; ``0`` (the default) is the paper's always-current oracle.
-        broadcast_cost: Channel time per site charged to the subnet at
-            every refresh (``0`` reproduces the paper's "overhead of load
-            status messages is negligible").
-        cpu_speed_factors: One positive CPU speed factor per site;
-            ``None`` (the default) is the paper's homogeneous system.
-        update_prob: Probability that a query is an update; ``None`` (the
-            default) is the paper's read-only workload and draws nothing.
-            Any number, ``0.0`` included, draws one value from each
-            query's stream before allocation.
-        update_pages: Pages written per replica when an update is applied.
-        apply_cpu_time: Mean CPU burst per applied page.
-        replication: Data placement; ``None`` (the default) is the
-            paper's full replication, where every site is a candidate.
-        item_weights: Optional access skew over the replication map's
-            data items (uniform when ``None``).
-        check_interval: Read cycles between migration checks.
-        threshold: Required cost advantage factor (>= 1) before a query
-            migrates (hysteresis against thrashing).
-        max_migrations: Per-query cap on mid-execution moves; ``0`` (the
-            default) turns migration off.  Only cost-based policies
-            migrate: LOCAL and RANDOM have no cost to compare.
-        multi_prob: Probability that a query is a subquery pipeline;
-            ``None`` (the default) draws nothing, like ``update_prob``.
-            Needs a replication map (each stage draws its own item).
-        subquery_count: Stages per pipelined query (>= 2).
+        mechanisms: The mechanisms that relax the paper's assumptions
+            (see :class:`~repro.model.mechanisms.Mechanisms`); the
+            default switches every one off.
     """
 
     def __init__(
@@ -153,71 +105,18 @@ class DistributedDatabase:
         faults: Optional["FaultPlan"] = None,
         workload: Optional[WorkloadSpec] = None,
         *,
-        refresh_interval: float = 0.0,
-        broadcast_cost: float = 0.0,
-        cpu_speed_factors: Optional[Sequence[float]] = None,
-        update_prob: Optional[float] = None,
-        update_pages: int = 4,
-        apply_cpu_time: float = 0.05,
-        replication: Optional[ReplicationMap] = None,
-        item_weights: Optional[Sequence[float]] = None,
-        check_interval: int = 5,
-        threshold: float = 1.5,
-        max_migrations: int = 0,
-        multi_prob: Optional[float] = None,
-        subquery_count: int = 2,
+        mechanisms: Mechanisms = Mechanisms(),
     ) -> None:
-        if refresh_interval < 0:
-            raise ValueError("refresh_interval must be >= 0")
-        if broadcast_cost < 0:
-            raise ValueError("broadcast_cost must be >= 0")
-        speeds = (1.0,) * config.num_sites
-        if cpu_speed_factors is not None:
-            speeds = tuple(float(f) for f in cpu_speed_factors)
-            if len(speeds) != config.num_sites:
-                raise ValueError(
-                    f"{len(speeds)} speed factors for {config.num_sites} sites"
-                )
-            if any(f <= 0 for f in speeds):
-                raise ValueError("speed factors must be > 0")
-        if update_prob is not None and not 0 <= update_prob <= 1:
-            raise ValueError("update_prob must be in [0, 1]")
-        if update_pages < 1:
-            raise ValueError("update_pages must be >= 1")
-        if apply_cpu_time <= 0:
-            raise ValueError("apply_cpu_time must be > 0")
-        self._item_cdf: Optional[Tuple[float, ...]] = None
-        if replication is not None:
-            if replication.num_sites != config.num_sites:
-                raise ValueError(
-                    f"replication map covers {replication.num_sites} sites, "
-                    f"config has {config.num_sites}"
-                )
-            if item_weights is not None:
-                self._item_cdf = item_cdf(item_weights, replication.num_items)
-        elif item_weights is not None:
-            raise ValueError("item_weights need a replication map")
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
-        if threshold < 1.0:
-            raise ValueError("threshold must be >= 1 (hysteresis)")
-        if max_migrations < 0:
-            raise ValueError("max_migrations must be >= 0")
-        if multi_prob is not None:
-            if not 0 <= multi_prob <= 1:
-                raise ValueError("multi_prob must be in [0, 1]")
-            if replication is None:
-                raise ValueError("multi_prob needs a replication map")
-        if subquery_count < 2:
-            raise ValueError("distributed queries need >= 2 subqueries")
-
+        mechanisms.check(config.num_sites)
+        speeds = mechanisms.cpu_speed_factors or (1.0,) * config.num_sites
+        self._item_cdf = mechanisms.access_cdf()
         self.config = config
         self.policy = policy
         self.sim = Simulator(seed=seed)
         #: The active fault injector, or ``None`` for faultless runs.
         self.fault_injector: Optional["FaultInjector"] = None
         self.sites: List[DBSite] = [
-            DBSite(self.sim, config, index, cpu_speed=speeds[index])
+            DBSite(self.sim, config, index, cpu_speed=float(speeds[index]))
             for index in range(config.num_sites)
         ]
         # Named "ring" for the paper's default topology; with
@@ -231,23 +130,13 @@ class DistributedDatabase:
         #: The load information policies see: the live board (the
         #: paper's oracle) or the last broadcast snapshot.
         self.load_view: LoadView = self.load_board
-        self.refresh_interval = refresh_interval
-        self.broadcast_cost = broadcast_cost
+        self.mechanisms = mechanisms
         self.refreshes = 0
         self._last_refresh = 0.0
-        self.update_prob = update_prob
-        self.update_pages = update_pages
-        self.apply_cpu_time = apply_cpu_time
         self.updates_executed = 0
         self.applies_completed = 0
         self._applies_started = 0
-        self.replication = replication
-        self.check_interval = check_interval
-        self.threshold = threshold
-        self.max_migrations = max_migrations
         self.total_migrations = 0
-        self.multi_prob = multi_prob
-        self.subquery_count = subquery_count
         self.distributed_queries = 0
         self.data_moves = 0
         self.workload = WorkloadGenerator(self.sim, config)
@@ -263,7 +152,7 @@ class DistributedDatabase:
         start_workload(self)
         # Launched after the workload: process-launch order is part of
         # the event sequence.
-        if refresh_interval > 0:
+        if mechanisms.refresh_interval > 0:
             self.load_view = self.load_board.snapshot()
             self.sim.launch(self._refresher(), name="load-broadcaster")
 
@@ -281,12 +170,7 @@ class DistributedDatabase:
         """
         if plan is None or plan.is_noop:
             return
-        if self.update_prob is not None:
-            raise ValueError(
-                "update queries cannot run under a fault plan: a site crash "
-                "flushes an apply task's service request and nothing resumes "
-                "that process"
-            )
+        self.mechanisms.check(self.config.num_sites, plan)
         if self.fault_injector is not None:
             raise RuntimeError("a fault plan is already installed")
         if self.sim.now != 0.0:
@@ -316,18 +200,19 @@ class DistributedDatabase:
 
     def _refresher(self):
         """Periodic snapshot process (plus optional channel charges)."""
+        mechanisms = self.mechanisms
         while True:
-            yield Hold(self.refresh_interval)
+            yield Hold(mechanisms.refresh_interval)
             self.load_view = self.load_board.snapshot()
             self._last_refresh = self.sim.now
             self.refreshes += 1
-            if self.broadcast_cost > 0 and self.config.num_sites > 1:
+            if mechanisms.broadcast_cost > 0 and self.config.num_sites > 1:
                 for site in range(self.config.num_sites):
                     self.ring.send(
                         Message(
                             source=site,
                             destination=(site + 1) % self.config.num_sites,
-                            transfer_time=self.broadcast_cost,
+                            transfer_time=mechanisms.broadcast_cost,
                             deliver=lambda: None,
                             kind="control",
                         )
@@ -342,15 +227,17 @@ class DistributedDatabase:
         Every site under full replication; with a replication map, the
         holders of the query's data item.
         """
-        if self.replication is None or query.data_item is None:
+        replication = self.mechanisms.replication
+        if replication is None or query.data_item is None:
             return range(self.config.num_sites)
-        return self.replication.holders(query.data_item)
+        return replication.holders(query.data_item)
 
     def _draw_item(self, query_rng: random.Random) -> int:
         """A data item from the replication map, by the access weights."""
-        assert self.replication is not None
+        replication = self.mechanisms.replication
+        assert replication is not None
         if self._item_cdf is None:
-            return query_rng.randrange(self.replication.num_items)
+            return query_rng.randrange(replication.num_items)
         u = query_rng.random()
         for item, threshold in enumerate(self._item_cdf):
             if u < threshold:
@@ -369,7 +256,7 @@ class DistributedDatabase:
         network = self.config.network
         if network.msg_length is not None:
             return network.msg_length
-        return self.update_pages * network.page_size * network.msg_time
+        return self.mechanisms.update_pages * network.page_size * network.msg_time
 
     def _apply_process(self, site_index: int, update_id: int):
         """Apply one update's write set at one replica.
@@ -379,12 +266,16 @@ class DistributedDatabase:
         """
         site = self.sites[site_index]
         rng = self.sim.rng.once(f"apply.s{site_index}.u{update_id}")
-        yield site.read_cycles(self.workload, rng, self.update_pages, self.apply_cpu_time)
+        mechanisms = self.mechanisms
+        yield site.read_cycles(
+            self.workload, rng, mechanisms.update_pages, mechanisms.apply_cpu_time
+        )
         self.applies_completed += 1
 
     def _propagate(self, query: Query, execution_site: int) -> None:
         """Send *query*'s write set to every other replica (asynchronously:
         the updating user's response time has already ended)."""
+        size_bytes = self.mechanisms.update_pages * self.config.network.page_size
         for site_index in range(self.config.num_sites):
             if site_index == execution_site:
                 continue
@@ -403,7 +294,7 @@ class DistributedDatabase:
                     transfer_time=self._propagation_transfer_time(),
                     deliver=start_apply,
                     kind="update",
-                    size_bytes=self.update_pages * self.config.network.page_size,
+                    size_bytes=size_bytes,
                 )
             )
 
@@ -491,15 +382,16 @@ class DistributedDatabase:
         crashes: a lost query simply returns here and the terminal
         proceeds to its next think time.  Without a plan no pass fails.
         """
-        multi_prob = self.multi_prob
+        mechanisms = self.mechanisms
+        multi_prob = mechanisms.multi_prob
         staged = multi_prob is not None and query_rng.random() < multi_prob
-        update_prob = self.update_prob
+        update_prob = mechanisms.update_prob
         is_update = update_prob is not None and query_rng.random() < update_prob
         stages = None
         if staged:
             self.distributed_queries += 1
             stages = self._plan_stages(query, query_rng)
-        elif self.replication is not None:
+        elif mechanisms.replication is not None:
             query.data_item = self._draw_item(query_rng)
         sim = self.sim
         home = query.home_site
@@ -629,10 +521,11 @@ class DistributedDatabase:
         it runs aborts the pass.
         """
         injector = self.fault_injector
+        mechanisms = self.mechanisms
         while True:
             batch = reads
-            if query.migrations < self.max_migrations:
-                batch = min(reads, self.check_interval)
+            if query.migrations < mechanisms.max_migrations:
+                batch = min(reads, mechanisms.check_interval)
             runner = self.sites[site].execute(query, self.workload, query_rng, batch)
             if injector is None:
                 yield from runner
@@ -657,7 +550,7 @@ class DistributedDatabase:
                 query, estimated_reads=float(reads), actual_reads=reads, data_item=item
             )
             view = self.view_for(site)
-            target = self.policy.recost(remainder, view, self.threshold)
+            target = self.policy.recost(remainder, view, mechanisms.threshold)
             if target is None or target == site:
                 continue
             self._emit_decision(remainder, view, target, attempt)
@@ -672,7 +565,7 @@ class DistributedDatabase:
     ) -> List[Tuple[int, int]]:
         """``(reads, data item)`` per stage: the read budget split evenly
         (every stage at least one read), one item drawn per stage."""
-        count = self.subquery_count
+        count = self.mechanisms.subquery_count
         base, extra = divmod(query.actual_reads, count)
         reads = [max(1, base + (1 if s < extra else 0)) for s in range(count)]
         return [(r, self._draw_item(query_rng)) for r in reads]

@@ -145,9 +145,5 @@ class WorkloadGenerator:
         low = spec.disk_time - half_width
         return low, (spec.disk_time + half_width) - low
 
-    def cpu_burst(self, query: Query, rng: random.Random) -> float:
-        """One per-page CPU burst: exponential with the class mean."""
-        return rng.expovariate(1.0 / query.spec.page_cpu_time)
-
 
 __all__ = ["WorkloadGenerator"]

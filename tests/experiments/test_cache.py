@@ -26,6 +26,7 @@ from repro.experiments.cache import (
     default_cache_dir,
 )
 from repro.experiments.common import simulate
+from repro.experiments.context import StudyContext
 from repro.experiments.parallel import replication_tasks, run_tasks
 from repro.experiments.runconfig import RunSettings
 from repro.model.config import paper_defaults
@@ -329,9 +330,9 @@ class TestCacheAvoidsSimulation:
 
     def test_simulate_cached_equals_uncached(self, tiny_config, cache):
         fresh = simulate(tiny_config, "BNQ", SMALL2)
-        warmed = simulate(tiny_config, "BNQ", SMALL2, cache=cache)
+        warmed = simulate(tiny_config, "BNQ", SMALL2, StudyContext(cache=cache))
         assert cache.stats == CacheStats(hits=0, misses=2, writes=2, errors=0)
-        cached = simulate(tiny_config, "BNQ", SMALL2, cache=cache)
+        cached = simulate(tiny_config, "BNQ", SMALL2, StudyContext(cache=cache))
         assert cache.stats.hits == 2
         assert fresh == warmed == cached
 

@@ -86,8 +86,8 @@ class TestTaskSpec:
 
 class TestSimulateEquivalence:
     def test_single_pair_jobs4_identical(self, tiny_config):
-        serial = simulate(tiny_config, "BNQ", SMALL3, jobs=1)
-        parallel = simulate(tiny_config, "BNQ", SMALL3, jobs=4)
+        serial = simulate(tiny_config, "BNQ", SMALL3, StudyContext(jobs=1))
+        parallel = simulate(tiny_config, "BNQ", SMALL3, StudyContext(jobs=4))
         assert serial == parallel  # exact dataclass equality, incl. CIs
 
     def test_simulate_many_matches_individual_simulate(self, tiny_config):

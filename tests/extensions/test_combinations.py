@@ -15,6 +15,7 @@ import pytest
 
 from repro.faults.plan import FaultPlan, MessageFaults, SiteOutage
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
@@ -32,7 +33,8 @@ OPEN = WorkloadSpec(
     arrivals=PoissonOpen(rate=0.03), admission=AdmissionControl(max_pending=8)
 )
 
-#: mechanism -> constructor keywords that switch it on
+#: mechanism -> ``Mechanisms`` fields (or the ``faults``/``workload``
+#: constructor arguments) that switch it on
 MECHANISMS = {
     "stale": {"refresh_interval": 25.0, "broadcast_cost": 0.5},
     "speeds": {"cpu_speed_factors": (2.0, 1.0, 0.5)},
@@ -51,7 +53,14 @@ def build(pair, policy="LERT"):
     kwargs = {}
     for name in pair:
         kwargs.update(MECHANISMS[name])
-    return DistributedDatabase(CONFIG, make_policy(policy), seed=5, **kwargs)
+    return DistributedDatabase(
+        CONFIG,
+        make_policy(policy),
+        seed=5,
+        faults=kwargs.pop("faults", None),
+        workload=kwargs.pop("workload", None),
+        mechanisms=Mechanisms(**kwargs),
+    )
 
 
 def run_digest(pair):

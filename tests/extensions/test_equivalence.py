@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
@@ -40,19 +41,26 @@ ITEM_WEIGHTS = (3.0, 1.0, 1.0, 2.0, 0.5, 0.5)
 
 def _stale(policy):
     return DistributedDatabase(
-        CONFIG, policy, seed=SEED, refresh_interval=25.0, broadcast_cost=0.5
+        CONFIG,
+        policy,
+        seed=SEED,
+        mechanisms=Mechanisms(refresh_interval=25.0, broadcast_cost=0.5),
     )
 
 
 def _updates(probability):
     def build(policy):
-        return DistributedDatabase(CONFIG, policy, seed=SEED, update_prob=probability)
+        return DistributedDatabase(
+            CONFIG, policy, seed=SEED, mechanisms=Mechanisms(update_prob=probability)
+        )
 
     return build
 
 
 def _heterogeneous(policy):
-    return DistributedDatabase(CONFIG, policy, seed=SEED, cpu_speed_factors=SPEEDS)
+    return DistributedDatabase(
+        CONFIG, policy, seed=SEED, mechanisms=Mechanisms(cpu_speed_factors=SPEEDS)
+    )
 
 
 def _partial(policy):
@@ -60,20 +68,25 @@ def _partial(policy):
         CONFIG,
         policy,
         seed=SEED,
-        replication=REPLICATION,
-        item_weights=ITEM_WEIGHTS,
+        mechanisms=Mechanisms(replication=REPLICATION, item_weights=ITEM_WEIGHTS),
     )
 
 
 def _subqueries(policy):
     return DistributedDatabase(
-        CONFIG, policy, seed=SEED, replication=REPLICATION, multi_prob=0.5
+        CONFIG,
+        policy,
+        seed=SEED,
+        mechanisms=Mechanisms(replication=REPLICATION, multi_prob=0.5),
     )
 
 
 def _migration(policy):
     return DistributedDatabase(
-        CONFIG, policy, seed=SEED, threshold=1.1, check_interval=5, max_migrations=2
+        CONFIG,
+        policy,
+        seed=SEED,
+        mechanisms=Mechanisms(threshold=1.1, check_interval=5, max_migrations=2),
     )
 
 

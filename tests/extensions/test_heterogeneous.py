@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.model.mechanisms import Mechanisms
 from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -18,7 +19,10 @@ def _factors(config, slow=0.5, fast=2.0):
 
 def _system(config, policy, factors, seed):
     return DistributedDatabase(
-        config, make_policy(policy), seed=seed, cpu_speed_factors=factors
+        config,
+        make_policy(policy),
+        seed=seed,
+        mechanisms=Mechanisms(cpu_speed_factors=factors),
     )
 
 

@@ -7,16 +7,23 @@ import pytest
 
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 
 
-def migrating(config, policy, seed=0, **kwargs):
+def migrating(config, policy, seed=0, faults=None, **mechanisms):
     """A system with migration on (``max_migrations=2`` unless given)."""
-    kwargs.setdefault("max_migrations", 2)
-    return DistributedDatabase(config, make_policy(policy), seed=seed, **kwargs)
+    mechanisms.setdefault("max_migrations", 2)
+    return DistributedDatabase(
+        config,
+        make_policy(policy),
+        seed=seed,
+        faults=faults,
+        mechanisms=Mechanisms(**mechanisms),
+    )
 
 
 def results_digest(results):
@@ -35,7 +42,7 @@ class TestConstruction:
 
     def test_off_by_default(self, tiny_config):
         system = DistributedDatabase(tiny_config, make_policy("LERT"), seed=1)
-        assert system.max_migrations == 0
+        assert system.mechanisms.max_migrations == 0
         system.run(warmup=100.0, duration=500.0)
         assert system.total_migrations == 0
 

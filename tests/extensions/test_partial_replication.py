@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults.plan import FaultPlan, MessageFaults, SiteOutage
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -11,8 +12,13 @@ from repro.workloads.arrivals import PoissonOpen
 from repro.workloads.spec import AdmissionControl, WorkloadSpec
 
 
-def _partial(config, policy, replication, **kwargs):
-    return DistributedDatabase(config, policy, replication=replication, **kwargs)
+def _partial(config, policy, replication, seed=0, **mechanisms):
+    return DistributedDatabase(
+        config,
+        policy,
+        seed=seed,
+        mechanisms=Mechanisms(replication=replication, **mechanisms),
+    )
 
 
 class TestReplicationMap:
@@ -156,7 +162,9 @@ class TestPartialReplicationDatabase:
     def test_item_weights_need_a_map(self, tiny_config):
         with pytest.raises(ValueError):
             DistributedDatabase(
-                tiny_config, make_policy("LOCAL"), item_weights=(1.0, 1.0)
+                tiny_config,
+                make_policy("LOCAL"),
+                mechanisms=Mechanisms(item_weights=(1.0, 1.0)),
             )
 
     def test_more_copies_do_not_hurt(self, tiny_config):
@@ -191,8 +199,7 @@ class TestWithFaultsAndOpenWorkloads:
             make_policy("LERT"),
             seed=spec.seed,
             workload=spec.workload,
-            replication=replication,
-            **mechanisms,
+            mechanisms=Mechanisms(replication=replication, **mechanisms),
         )
         violations = []
         original_record = system.metrics.record

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -11,15 +12,15 @@ def _replication(config, copies=2, items=8):
     return ReplicationMap.round_robin_k(config.num_sites, items, copies)
 
 
-def pipelined(config, policy, replication, seed=0, multi_prob=0.5, **kwargs):
+def pipelined(config, policy, replication, seed=0, multi_prob=0.5, **mechanisms):
     """A system that runs a *multi_prob* share of queries as pipelines."""
     return DistributedDatabase(
         config,
         policy,
         seed=seed,
-        replication=replication,
-        multi_prob=multi_prob,
-        **kwargs,
+        mechanisms=Mechanisms(
+            replication=replication, multi_prob=multi_prob, **mechanisms
+        ),
     )
 
 
@@ -37,13 +38,17 @@ class TestConstruction:
 
     def test_pipelines_need_a_replication_map(self, tiny_config):
         with pytest.raises(ValueError, match="replication map"):
-            DistributedDatabase(tiny_config, make_policy("LERT"), multi_prob=0.5)
+            DistributedDatabase(
+                tiny_config, make_policy("LERT"), mechanisms=Mechanisms(multi_prob=0.5)
+            )
 
     def test_off_by_default(self, tiny_config):
         system = DistributedDatabase(
-            tiny_config, make_policy("LERT"), replication=_replication(tiny_config)
+            tiny_config,
+            make_policy("LERT"),
+            mechanisms=Mechanisms(replication=_replication(tiny_config)),
         )
-        assert system.multi_prob is None
+        assert system.mechanisms.multi_prob is None
         system.run(100.0, 500.0)
         assert system.distributed_queries == 0
 
@@ -52,7 +57,10 @@ class TestBehaviour:
     def test_zero_multi_prob_degenerates_to_partial_replication(self, tiny_config):
         replication = _replication(tiny_config)
         plain = DistributedDatabase(
-            tiny_config, make_policy("LERT"), seed=1, replication=replication
+            tiny_config,
+            make_policy("LERT"),
+            seed=1,
+            mechanisms=Mechanisms(replication=replication),
         )
         staged = pipelined(
             tiny_config, make_policy("LERT"), replication, seed=1, multi_prob=0.0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -21,13 +22,13 @@ OUTAGE = SiteOutage(site=0, at=600.0, duration=800.0)
 RECOVERY = OUTAGE.at + OUTAGE.duration
 
 MECHANISMS = {
-    "migration": {"max_migrations": 2},
-    "pipelines": {
-        "replication": ReplicationMap.round_robin_k(
+    "migration": Mechanisms(max_migrations=2),
+    "pipelines": Mechanisms(
+        replication=ReplicationMap.round_robin_k(
             CONFIG.num_sites, num_items=12, copies=3
         ),
-        "multi_prob": 0.5,
-    },
+        multi_prob=0.5,
+    ),
 }
 
 
@@ -37,7 +38,7 @@ def run_with_outage(mechanism):
         make_policy("LERT"),
         seed=1,
         faults=FaultPlan(site_outages=(OUTAGE,)),
-        **MECHANISMS[mechanism],
+        mechanisms=MECHANISMS[mechanism],
     )
     committed, completed, failed = set(), set(), set()
     register = system.load_board.register

@@ -26,6 +26,7 @@ import pytest
 from repro.experiments.cache import canonical_json
 from repro.faults.plan import FaultPlan, SiteOutage
 from repro.model.config import DISK_SHARED, paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
@@ -39,22 +40,22 @@ REPLICATION = ReplicationMap.round_robin_k(3, num_items=6, copies=2)
 SCENARIOS = {
     "migration": (
         CONFIG,
-        {"max_migrations": 3, "check_interval": 2, "threshold": 1.1},
+        {"mechanisms": Mechanisms(max_migrations=3, check_interval=2, threshold=1.1)},
         lambda system: system.total_migrations,
     ),
     "pipelines": (
         CONFIG,
-        {"replication": REPLICATION, "multi_prob": 0.5},
+        {"mechanisms": Mechanisms(replication=REPLICATION, multi_prob=0.5)},
         lambda system: system.distributed_queries,
     ),
     "updates": (
         CONFIG,
-        {"update_prob": 0.3},
+        {"mechanisms": Mechanisms(update_prob=0.3)},
         lambda system: system.applies_completed,
     ),
     "speeds": (
         CONFIG,
-        {"cpu_speed_factors": (2.0, 1.0, 0.5)},
+        {"mechanisms": Mechanisms(cpu_speed_factors=(2.0, 1.0, 0.5))},
         lambda system: system.metrics.completions,
     ),
     "shared_disks": (

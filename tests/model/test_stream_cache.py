@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.system import DistributedDatabase
 from repro.policies import make_policy
 from repro.workloads import PoissonOpen, WorkloadSpec
@@ -30,7 +31,7 @@ def _cached_names(duration: float, **system_kwargs):
     "system_kwargs",
     [
         {},
-        {"update_prob": 0.2},
+        {"mechanisms": Mechanisms(update_prob=0.2)},
         {"workload": WorkloadSpec(arrivals=PoissonOpen(rate=0.1))},
     ],
     ids=["closed", "updates", "open"],

@@ -94,14 +94,6 @@ class TestServiceDraws:
         rng = generator.sim.rng.stream("t")
         assert generator.think_time(rng) == 0.0
 
-    def test_cpu_burst_mean_per_class(self, generator):
-        rng = generator.sim.rng.stream("cpu-test")
-        query, _ = generator.new_query(0, 0, 1)
-        bursts = [generator.cpu_burst(query, rng) for _ in range(20000)]
-        assert sum(bursts) / len(bursts) == pytest.approx(
-            query.spec.page_cpu_time, rel=0.05
-        )
-
 
 class TestClassSampling:
     """Regression: no silent rounding absorption at ``cumulative[-1]``.

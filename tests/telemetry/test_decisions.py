@@ -11,6 +11,7 @@ import dataclasses
 import math
 
 from repro.model.config import paper_defaults
+from repro.model.mechanisms import Mechanisms
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
@@ -204,7 +205,10 @@ class TestRealRuns:
 class TestStaleness:
     def test_stale_views_surface_age_and_divergence(self):
         system = DistributedDatabase(
-            paper_defaults(), make_policy("BNQRD"), seed=11, refresh_interval=50.0
+            paper_defaults(),
+            make_policy("BNQRD"),
+            seed=11,
+            mechanisms=Mechanisms(refresh_interval=50.0),
         )
         session = TelemetrySession(
             system, TelemetryConfig(events=False, decisions=True)

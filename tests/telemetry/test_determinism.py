@@ -17,7 +17,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     ReplicationTask,
     RunProgress,
-    progress_reporting,
     replication_tasks,
     run_tasks,
 )
@@ -122,20 +121,6 @@ class TestProgressReporting:
         run_tasks(tasks, cache=cache, progress=ticks.append)
         assert ticks[-1].completed == len(tasks)
         assert ticks[-1].cached == len(tasks)
-
-    def test_ambient_callback_via_context_manager(self, tiny_config):
-        tasks = replication_tasks(
-            tiny_config,
-            "LOCAL",
-            RunSettings(warmup=10.0, duration=50.0, replications=1, base_seed=1),
-        )
-        ambient = []
-        with progress_reporting(ambient.append):
-            run_tasks(tasks)
-        assert ambient and ambient[-1].completed == len(tasks)
-        # Restored on exit: no further reports.
-        run_tasks(tasks)
-        assert len(ambient) == len(tasks)
 
     def test_progress_does_not_change_results(self, tiny_config):
         tasks = replication_tasks(tiny_config, "LERT", SETTINGS)

@@ -5,6 +5,7 @@ decision, and every hop is a ``QueryTransferred`` event that becomes a
 ``transfer.migration`` or ``transfer.data-move`` span.
 """
 
+from repro.model.mechanisms import Mechanisms
 from repro.model.replication import ReplicationMap
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
@@ -40,7 +41,10 @@ def hops(report, kind):
 
 def test_migrating_run_audits_selects_and_moves(tiny_config):
     system = DistributedDatabase(
-        tiny_config, make_policy("LERT"), seed=3, threshold=1.1, max_migrations=2
+        tiny_config,
+        make_policy("LERT"),
+        seed=3,
+        mechanisms=Mechanisms(threshold=1.1, max_migrations=2),
     )
     report, selects = traced(system)
     assert system.total_migrations > 0
@@ -56,9 +60,7 @@ def test_traced_pipeline_run_exports_spans_and_decisions(tiny_config, tmp_path):
         tiny_config,
         make_policy("LERT"),
         seed=3,
-        replication=replication,
-        multi_prob=0.6,
-        subquery_count=3,
+        mechanisms=Mechanisms(replication=replication, multi_prob=0.6, subquery_count=3),
     )
     report, selects = traced(system)
     assert system.distributed_queries > 0
