@@ -535,8 +535,9 @@ class EventListEncapsulation(Rule):
 
     The kernel's replay guarantee rests on a single total order —
     ``(time, priority, seq)`` with lazy deletion — whose invariants live
-    entirely in ``repro.sim.events`` (:class:`EventQueue` and the
-    :class:`MinHeap` helper resources use).  A stray ``import heapq`` or
+    entirely in ``repro.sim.events`` (:class:`EventQueue`, and the
+    ``heap_push``/``heap_pop`` primitives resources use for their own
+    heaps).  A stray ``import heapq`` or
     a reach into private queue structures (``_heap``, ``_lane``,
     ``_buckets``, ``_keys``, ``_free``) creates a second place where
     ordering or liveness can drift — exactly the kind of silent
@@ -550,7 +551,7 @@ class EventListEncapsulation(Rule):
     summary = (
         "no heapq import or event-queue private-structure access "
         "(_heap/_lane/_buckets/_keys/_free) outside repro.sim.events; use the "
-        "EventQueue/MinHeap public API"
+        "EventQueue/heap_push/heap_pop public API"
     )
     scope = ("repro",)
 
@@ -571,8 +572,8 @@ class EventListEncapsulation(Rule):
                             node,
                             "import of heapq outside repro.sim.events; the "
                             "future-event list's ordering invariants have "
-                            "one home — use EventQueue/MinHeap from "
-                            "repro.sim.events",
+                            "one home — use EventQueue or heap_push/heap_pop "
+                            "from repro.sim.events",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "heapq" or (
@@ -582,7 +583,7 @@ class EventListEncapsulation(Rule):
                         ctx,
                         node,
                         "import from heapq outside repro.sim.events; use "
-                        "the EventQueue/MinHeap public API",
+                        "the EventQueue/heap_push/heap_pop public API",
                     )
             elif (
                 isinstance(node, ast.Attribute)

@@ -26,17 +26,20 @@ and no resume event.
 from __future__ import annotations
 
 import random
+from math import log
 from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.model.config import DISK_SHARED, SystemConfig
 from repro.sim.engine import Simulator
-from repro.sim.process import Continuation
+from repro.sim.process import Continuation, ProcessState
 from repro.sim.resources import FCFSServer, PSServer
 from repro.telemetry.events import ServiceFinished, ServiceStarted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.query import Query
     from repro.model.workload import WorkloadGenerator
+
+_WAITING = ProcessState.WAITING
 
 
 class DBSite:
@@ -203,7 +206,12 @@ class ReadCycles(Continuation):
     from the query's own stream in the order of one request per burst,
     and ``service_acquired`` grows burst by burst, so results equal
     those of a process that yields every burst; only the kernel's order
-    of events at one instant differs.  A negative or NaN demand raises
+    of events at one instant differs.  The draws are the standard
+    library's own expressions, written out: the disk time is
+    ``rng.uniform``'s ``low + width * random()``, the disk is
+    ``rng.randrange``'s ``getrandbits`` rejection loop and the CPU burst
+    is ``rng.expovariate``'s ``-log(1 - random()) / rate``, so every
+    value equals the library call's.  A negative or NaN demand raises
     :class:`~repro.sim.errors.ResourceError` as ``Server.service`` does.
     """
 
@@ -212,6 +220,8 @@ class ReadCycles(Continuation):
         "rng",
         "reads",
         "disks",
+        "disk_count",
+        "disk_bits",
         "cpu",
         "cpu_rate",
         "cpu_speed",
@@ -234,6 +244,8 @@ class ReadCycles(Continuation):
         self.rng = rng
         self.reads = reads
         self.disks = site.disks
+        self.disk_count = len(site.disks)
+        self.disk_bits = self.disk_count.bit_length()
         self.cpu = site.cpu
         self.cpu_rate = 1.0 / page_cpu_time
         self.cpu_speed = site.cpu_speed
@@ -246,20 +258,31 @@ class ReadCycles(Continuation):
         rng = self.rng
         width = self.disk_width
         burst = self.disk_low if width is None else self.disk_low + width * rng.random()
-        disks = self.disks
-        disk = disks[0] if len(disks) == 1 else disks[rng.randrange(len(disks))]
+        count = self.disk_count
+        if count == 1:
+            disk = self.disks[0]
+        else:
+            # rng.randrange(count): the same draws, without its frames.
+            bits = self.disk_bits
+            index = rng.getrandbits(bits)
+            while index >= count:
+                index = rng.getrandbits(bits)
+            disk = self.disks[index]
         if not burst >= 0:
             raise disk.demand_error(burst)
         self.burst = burst
         self.on_disk = True
         disk._accept(self, burst)
 
-    def advance(self) -> None:
+    def resume_now(self) -> None:
+        if self.process._state is not _WAITING:
+            raise self.state_error()
         query = self.query
         if query is not None:
             query.service_acquired += self.burst
         if self.on_disk:
-            burst = self.rng.expovariate(self.cpu_rate) / self.cpu_speed
+            # rng.expovariate(cpu_rate), in its own float order.
+            burst = -log(1.0 - self.rng.random()) / self.cpu_rate / self.cpu_speed
             if not burst >= 0:
                 raise self.cpu.demand_error(burst)
             self.burst = burst

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.sim.errors import SchedulingError
 
@@ -324,35 +324,14 @@ class EventQueue:
         self._live = 0
 
 
-class _SupportsLessThan(Protocol):
-    def __lt__(self, other: Any) -> bool: ...  # pragma: no cover - protocol
-
-
-
-class MinHeap(List[Any]):
-    """A slim kernel-internal min-heap over totally ordered entries.
-
-    Resource implementations (e.g. the PS server's virtual-finish order)
-    use this instead of touching :mod:`heapq` themselves, keeping every
-    heap invariant in this module (enforced by reprolint RL012).
-    Entries must be tuples whose comparable prefix is unique, exactly
-    like the future-event list's.  It is a ``list`` subclass so that
-    ``len()`` and truth tests stay in C; use only :meth:`push`,
-    :meth:`pop`, :meth:`peek` and ``clear`` on it.
-    """
-
-    __slots__ = ()
-
-    def push(self, item: _SupportsLessThan) -> None:
-        heapq.heappush(self, item)
-
-    def pop(self) -> Any:  # type: ignore[override]
-        """Remove and return the smallest entry (raises IndexError if empty)."""
-        return heapq.heappop(self)
-
-    def peek(self) -> Any:
-        """The smallest entry without removing it (raises IndexError if empty)."""
-        return self[0]
+#: The heap primitives of the kernel's other heaps (the PS server's job
+#: heap): :mod:`heapq`'s own C functions, re-exported so that every heap
+#: invariant keeps this module as its one home (reprolint RL012).  A heap
+#: is a plain ``list`` of tuples whose comparable prefix is unique,
+#: exactly like the future-event list's entries; read its smallest entry
+#: as ``heap[0]``.
+heap_push = heapq.heappush
+heap_pop = heapq.heappop
 
 
 def validate_delay(now: float, delay: float, what: str = "delay") -> float:
@@ -377,6 +356,7 @@ __all__ = [
     "DEFAULT_PRIORITY",
     "Event",
     "EventQueue",
-    "MinHeap",
+    "heap_pop",
+    "heap_push",
     "validate_delay",
 ]

@@ -143,8 +143,20 @@ class TimeWeighted:
         return self._value
 
     def set(self, value: float) -> None:
-        """Change the tracked value at the current simulated time."""
-        self._advance()
+        """Change the tracked value at the current simulated time.
+
+        Inlined ``_advance`` (the PS server's busy flag calls this at
+        every idle/busy switch), in its float order.
+        """
+        now = self.sim.now
+        last = self._last
+        if now < last:
+            raise MonitorError(
+                f"TimeWeighted {self.name!r}: clock moved backwards "
+                f"({now} < {last})"
+            )
+        self._area += self._value * (now - last)
+        self._last = now
         self._value = value
         if value > self._max:
             self._max = value

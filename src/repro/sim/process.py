@@ -116,20 +116,21 @@ class Continuation(Command):
     A plain command hands its process to one resource, which resumes the
     process when the service completes.  A continuation is handed to
     resources *in the process's place*: a resource calls its
-    :meth:`resume_now` at each completion, and :meth:`advance` runs at
-    once, inside the completion's callback.  It either hands the
-    continuation to the next resource or steps the generator itself
-    (``process._step``); no resume event is rented on the way.
+    :meth:`resume_now` at each completion, which runs at once, inside
+    the completion's callback.  It either hands the continuation to the
+    next resource or steps the generator itself (``process._step``); no
+    resume event is rented on the way.
 
     The process stays WAITING for as long as a resource holds the
-    continuation, so :meth:`resume_now` checks that state as
-    :meth:`Process.resume_now` does.  There is no pending resume for
-    :meth:`Process.interrupt` to cancel: whoever interrupts must first
-    flush the resources serving the continuation (``Server.abort_all``),
-    or their next completion finds the process in the wrong state and
-    raises :class:`~repro.sim.errors.ProcessError`.  Subclasses
-    implement :meth:`begin` (the first service, issued when the process
-    yields the continuation) and :meth:`advance`.
+    continuation, so :meth:`resume_now` must check that state as
+    :meth:`Process.resume_now` does (:meth:`state_error` builds the
+    error).  There is no pending resume for :meth:`Process.interrupt` to
+    cancel: whoever interrupts must first flush the resources serving
+    the continuation (``Server.abort_all``), or their next completion
+    finds the process in the wrong state and raises
+    :class:`~repro.sim.errors.ProcessError`.  Subclasses implement
+    :meth:`begin` (the first service, issued when the process yields
+    the continuation) and :meth:`resume_now`.
     """
 
     __slots__ = ("process",)
@@ -142,18 +143,20 @@ class Continuation(Command):
         """Hand the continuation to its first resource."""
         raise NotImplementedError
 
-    def advance(self) -> None:
-        """Run inside a completion: serve on, or step the process."""
+    def resume_now(self) -> None:
+        """A resource finished serving the continuation (the process's twin).
+
+        Runs inside the completion: if the process is not WAITING, raise
+        :meth:`state_error`; else serve on, or step the process.
+        """
         raise NotImplementedError
 
-    def resume_now(self) -> None:
-        """A resource finished serving the continuation (the process's twin)."""
+    def state_error(self) -> ProcessError:
+        """The error for a completion that finds the process not WAITING."""
         process = self.process
-        if process._state is not ProcessState.WAITING:
-            raise ProcessError(
-                f"{process.name}: resume_now() on a {process._state.value} process"
-            )
-        self.advance()
+        return ProcessError(
+            f"{process.name}: resume_now() on a {process._state.value} process"
+        )
 
 
 class ProcessState(enum.Enum):

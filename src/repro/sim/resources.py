@@ -15,9 +15,11 @@ disciplines:
 
 Both servers integrate with the process layer: a model process does
 ``yield server.service(demand)`` and is resumed when its service completes.
-Each server keeps standard monitors (utilization, time-average population
-and a completion count) so experiments can read statistics without
-instrumenting model code.
+Each server keeps a busy-server monitor (utilization) and a completion
+count, so experiments can read statistics without instrumenting model
+code.  The time-average population (queue + service) is integrated only
+on request: :meth:`Server.observe_population` switches it on before the
+clock moves (a telemetry session does, for its queue gauges).
 
 A station serves *customers*: anything with a ``resume_now()`` it calls
 when the customer's service completes, as the last step of the
@@ -30,8 +32,11 @@ process, inside that call.
 Hot-path layout (see ``docs/performance.md``): a disk read or CPU burst
 is the unit of work every query repeats, so the stations carry no
 per-service objects beyond what the event list needs.  An FCFS or delay
-job is its own (slotted) completion callback, PS jobs are plain heap
-tuples, and completion events are rented from the future-event list.
+job is its own (slotted) completion callback, which starts the next
+queued service itself; PS jobs are plain heap tuples, and each PS
+arrival or departure rents the front job's completion inline.
+Completion events are rented from the future-event list, and a station
+whose population nobody observes skips that monitor.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple, Union
 
 from repro.sim.errors import ResourceError
-from repro.sim.events import Event, MinHeap, validate_delay
+from repro.sim.events import Event, heap_pop, heap_push, validate_delay
 from repro.sim.monitor import TimeWeighted
 from repro.sim.process import Command, Continuation, Process
 
@@ -73,8 +78,12 @@ class Server:
     def __init__(self, sim, name: str) -> None:
         self.sim = sim
         self.name = name
-        #: Time-average number of customers at the station (queue + service).
-        self.population = TimeWeighted(sim, name=f"{name}.population")
+        #: Time-average number of customers at the station (queue +
+        #: service), or ``None`` until :meth:`observe_population` asks
+        #: for it: only telemetry reads it, and it costs two monitor
+        #: updates per service.
+        self.population: Optional[TimeWeighted] = None
+        self._opened_at = sim.now
         #: Time-average number of busy servers (for utilization).
         self.busy = TimeWeighted(sim, name=f"{name}.busy")
         self.completions = 0
@@ -95,6 +104,29 @@ class Server:
         """The error for a negative or NaN *demand* (callers check first)."""
         return ResourceError(f"{self.name}: invalid service demand {demand!r}")
 
+    def observe_population(self) -> TimeWeighted:
+        """Integrate the station's population from now on and return it.
+
+        Idempotent.  Must be called before the clock moves past the
+        station's construction: a monitor started later would begin at
+        zero with customers already present and under-count them.
+
+        Raises:
+            ResourceError: If the population is not yet observed and the
+                clock has moved.
+        """
+        population = self.population
+        if population is None:
+            if self.sim.now != self._opened_at:
+                raise ResourceError(
+                    f"{self.name}: observe_population() at t={self.sim.now}; "
+                    "the population must be observed before the clock moves"
+                )
+            population = self.population = TimeWeighted(
+                self.sim, name=f"{self.name}.population"
+            )
+        return population
+
     def _accept(self, customer: Customer, demand: float) -> None:
         """Start or queue *demand* units of service for *customer*.
 
@@ -104,18 +136,14 @@ class Server:
 
     def reset_statistics(self) -> None:
         """Truncate all monitors (warmup end)."""
-        self.population.reset()
+        if self.population is not None:
+            self.population.reset()
         self.busy.reset()
         self.completions = 0
 
     def utilization(self, server_count: int = 1) -> float:
         """Fraction of capacity in use over the observation window."""
         return self.busy.time_average / server_count
-
-    @property
-    def queue_length_avg(self) -> float:
-        """Time-average number of customers at the station."""
-        return self.population.time_average
 
     def abort_all(self) -> int:
         """Flush every queued and in-service customer (fault injection).
@@ -133,7 +161,12 @@ class Server:
 
 
 class _FCFSJob:
-    """One in-service job at a :class:`FCFSServer`; its own completion callback."""
+    """One busy server of a :class:`FCFSServer`; its own completion callback.
+
+    At a completion it takes the queue's head, if any, in the same
+    place in the station's ``_active`` list, so a busy server's
+    successive services cost one job object.
+    """
 
     __slots__ = ("server", "customer", "event")
 
@@ -143,15 +176,25 @@ class _FCFSJob:
         self.event: Optional[Event] = None
 
     def __call__(self) -> None:
-        self.event = None  # the rented event is returning to the free-list
         server = self.server
-        server._active.remove(self)
+        customer = self.customer
         server.busy.add(-1)
-        server.population.add(-1)
+        population = server.population
+        if population is not None:
+            population.add(-1)
         server.completions += 1
-        if server._queue:
-            server._begin(*server._queue.popleft())
-        self.customer.resume_now()
+        queue = server._queue
+        if queue:
+            self.customer, demand = queue.popleft()
+            server.busy.add(1)
+            now = server.sim.now
+            if not 0.0 <= demand < _INFINITY:
+                validate_delay(now, demand)
+            self.event = server._equeue.rent(now + demand, self, server._done_label)
+        else:
+            self.event = None  # the rented event is returning to the free-list
+            server._active.remove(self)
+        customer.resume_now()
 
 
 class FCFSServer(Server):
@@ -180,20 +223,20 @@ class FCFSServer(Server):
         return len(self._active)
 
     def _accept(self, customer: Customer, demand: float) -> None:
-        self.population.add(1)
-        if len(self._active) < self.servers:
-            self._begin(customer, demand)
+        population = self.population
+        if population is not None:
+            population.add(1)
+        active = self._active
+        if len(active) < self.servers:
+            now = self.sim.now
+            self.busy.add(1)
+            job = _FCFSJob(self, customer)
+            if not 0.0 <= demand < _INFINITY:
+                validate_delay(now, demand)
+            job.event = self._equeue.rent(now + demand, job, self._done_label)
+            active.append(job)
         else:
             self._queue.append((customer, demand))
-
-    def _begin(self, customer: Customer, demand: float) -> None:
-        now = self.sim.now
-        self.busy.add(1)
-        job = _FCFSJob(self, customer)
-        if not 0.0 <= demand < _INFINITY:
-            validate_delay(now, demand)
-        job.event = self._equeue.rent(now + demand, job, self._done_label)
-        self._active.append(job)
 
     def abort_all(self) -> int:
         flushed = len(self._active) + len(self._queue)
@@ -202,7 +245,7 @@ class FCFSServer(Server):
                 self.sim.cancel(job.event)
         self._active.clear()
         self._queue.clear()
-        if flushed:
+        if flushed and self.population is not None:
             self.population.add(-flushed)
         self.busy.set(0)
         return flushed
@@ -219,15 +262,17 @@ class PSServer(Server):
     ``1/n`` in real time; a job with remaining demand ``d`` arriving at
     virtual time ``V`` finishes when the virtual clock reaches ``V + d``.
     Only the earliest virtual finish needs a scheduled event, and the event
-    is rebuilt on every arrival/departure.  Jobs are
-    ``(finish_virtual, seq, customer)`` tuples in a :class:`MinHeap`.
+    is rebuilt on every arrival/departure, inline in :meth:`_accept` and
+    :meth:`_complete_front`.  Jobs are ``(finish_virtual, seq, customer)``
+    tuples in a plain list kept as a heap by :func:`heap_push` and
+    :func:`heap_pop`.
     """
 
     def __init__(self, sim, name: str = "cpu") -> None:
         super().__init__(sim, name)
         self._virtual = 0.0
         self._last_update = sim.now
-        self._jobs: MinHeap = MinHeap()
+        self._jobs: List[Tuple[float, int, Customer]] = []
         self._seq = itertools.count()
         self._completion_event: Optional[Event] = None
         self._complete_bound = self._complete_front
@@ -236,13 +281,6 @@ class PSServer(Server):
     def job_count(self) -> int:
         return len(self._jobs)
 
-    def _advance_virtual(self) -> None:
-        now = self.sim.now
-        n = len(self._jobs)
-        if n:
-            self._virtual += (now - self._last_update) / n
-        self._last_update = now
-
     def _accept(self, customer: Customer, demand: float) -> None:
         now = self.sim.now
         jobs = self._jobs
@@ -250,54 +288,68 @@ class PSServer(Server):
         if n:
             self._virtual += (now - self._last_update) / n
         self._last_update = now
-        jobs.push((self._virtual + demand, next(self._seq), customer))
-        self.population.add(1)
+        heap_push(jobs, (self._virtual + demand, next(self._seq), customer))
+        population = self.population
+        if population is not None:
+            population.add(1)
         if not n:
             self.busy.set(1)
-        # PS has no queueing phase: service starts immediately at reduced rate.
-        self._reschedule(now)
-
-    def _reschedule(self, now: float) -> None:
+        # PS has no queueing phase: service starts immediately at reduced
+        # rate, and the front job's completion moves.
+        equeue = self._equeue
         if self._completion_event is not None:
-            self._equeue.cancel(self._completion_event)
-            self._completion_event = None
-        jobs = self._jobs
-        if not jobs:
-            return
-        remaining_virtual = jobs.peek()[0] - self._virtual
+            equeue.cancel(self._completion_event)
+        remaining_virtual = jobs[0][0] - self._virtual
         if remaining_virtual < 0:  # floating-point drift guard
             remaining_virtual = 0.0
-        delay = remaining_virtual * len(jobs)
+        delay = remaining_virtual * (n + 1)
         if not 0.0 <= delay < _INFINITY:
             validate_delay(now, delay)
-        self._completion_event = self._equeue.rent(
+        self._completion_event = equeue.rent(
             now + delay, self._complete_bound, self._done_label
         )
 
     def _complete_front(self) -> None:
-        self._completion_event = None
         now = self.sim.now
         jobs = self._jobs
         virtual = self._virtual + (now - self._last_update) / len(jobs)
         self._last_update = now
-        finish_virtual, _seq, customer = jobs.pop()
+        finish_virtual, _seq, customer = heap_pop(jobs)
         # Pin the virtual clock to the finish value to stop drift compounding.
-        self._virtual = finish_virtual if finish_virtual > virtual else virtual
-        self.population.add(-1)
-        if not jobs:
-            self.busy.set(0)
+        if finish_virtual > virtual:
+            virtual = finish_virtual
+        self._virtual = virtual
+        population = self.population
+        if population is not None:
+            population.add(-1)
         self.completions += 1
-        self._reschedule(now)
+        if jobs:
+            remaining_virtual = jobs[0][0] - virtual
+            if remaining_virtual < 0:  # floating-point drift guard
+                remaining_virtual = 0.0
+            delay = remaining_virtual * len(jobs)
+            if not 0.0 <= delay < _INFINITY:
+                validate_delay(now, delay)
+            self._completion_event = self._equeue.rent(
+                now + delay, self._complete_bound, self._done_label
+            )
+        else:
+            self._completion_event = None
+            self.busy.set(0)
         customer.resume_now()
 
     def abort_all(self) -> int:
-        flushed = len(self._jobs)
+        jobs = self._jobs
+        flushed = len(jobs)
         if self._completion_event is not None:
             self.sim.cancel(self._completion_event)
             self._completion_event = None
-        self._advance_virtual()
-        self._jobs.clear()
+        now = self.sim.now
         if flushed:
+            self._virtual += (now - self._last_update) / flushed
+        self._last_update = now
+        jobs.clear()
+        if flushed and self.population is not None:
             self.population.add(-flushed)
         self.busy.set(0)
         return flushed
@@ -314,7 +366,8 @@ class _DelayJob:
 
     def __call__(self) -> None:
         server = self.server
-        server.population.add(-1)
+        if server.population is not None:
+            server.population.add(-1)
         server.busy.add(-1)
         server.completions += 1
         self.customer.resume_now()
@@ -334,7 +387,8 @@ class DelayStation(Server):
 
     def _accept(self, customer: Customer, demand: float) -> None:
         now = self.sim.now
-        self.population.add(1)
+        if self.population is not None:
+            self.population.add(1)
         self.busy.add(1)
         if not 0.0 <= demand < _INFINITY:
             validate_delay(now, demand)

@@ -123,7 +123,9 @@ class TelemetrySession:
 
     Args:
         system: The system to observe.  The session subscribes to the
-            system's bus immediately; construct it *before* ``run()``.
+            system's bus and switches on every station's population
+            monitor (the ``*.queue`` gauges) immediately; construct it
+            *before* ``run()``.
         config: What to collect (default: events only).
 
     Attributes:
@@ -140,6 +142,12 @@ class TelemetrySession:
         self._buffer: List[TelemetryEvent] = []
         self._derived: Optional[_Derived] = None
         self._end_time: Optional[float] = None
+        # The queue gauges of _monitor_stats: stations integrate their
+        # population only when asked, before the clock moves.
+        for site in system.sites:
+            site.cpu.observe_population()
+            for disk in site.disks:
+                disk.observe_population()
 
         self.sampler: Optional[TimelineSampler] = None
         if config.sample_interval > 0:
@@ -323,10 +331,10 @@ def _monitor_stats(system: "DistributedDatabase") -> Dict[str, float]:
     for site in system.sites:
         prefix = f"site.{site.index}"
         gauge(f"{prefix}.cpu.busy", site.cpu.busy)
-        gauge(f"{prefix}.cpu.queue", site.cpu.population)
+        gauge(f"{prefix}.cpu.queue", site.cpu.observe_population())
         for position, disk in enumerate(site.disks):
             gauge(f"{prefix}.disk.{position}.busy", disk.busy)
-            gauge(f"{prefix}.disk.{position}.queue", disk.population)
+            gauge(f"{prefix}.disk.{position}.queue", disk.observe_population())
     metrics = system.metrics
     tally("queries.waiting", metrics.waiting)
     tally("queries.response", metrics.response)

@@ -429,11 +429,11 @@ def test_rl012_fires(tmp_path, relative, source):
         # The public queue API is the blessed spelling everywhere else.
         (
             "repro/sim/resources2.py",
-            "from repro.sim.events import MinHeap\n\n"
+            "from repro.sim.events import heap_pop, heap_push\n\n"
             "def build():\n"
-            "    heap = MinHeap()\n"
-            "    heap.push((1.0, 0))\n"
-            "    return heap.peek()\n",
+            "    heap = []\n"
+            "    heap_push(heap, (1.0, 0))\n"
+            "    return heap_pop(heap)\n",
         ),
         (
             "repro/sim/engine2.py",

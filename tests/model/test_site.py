@@ -127,24 +127,30 @@ class TestService:
             reference.expovariate(1.0 / query.spec.page_cpu_time)
         assert rng.getstate() == reference.getstate()
 
-    def test_draws_follow_the_paper_distributions(self):
+    @pytest.mark.parametrize("num_disks", [2, 3])
+    def test_draws_follow_the_paper_distributions(self, num_disks):
         # Per page: U(disk_time ± dev) as rng.uniform draws it, the disk
-        # (two disk queues), then the CPU burst; service_acquired adds
-        # them one by one.
+        # as rng.randrange picks it (three disks reach its rejection
+        # loop), then the CPU burst as rng.expovariate draws it;
+        # service_acquired adds them one by one.
         sim = Simulator()
-        config = paper_defaults()
+        config = paper_defaults().with_site(num_disks=num_disks)
         site = DBSite(sim, config, index=0, cpu_speed=2.0)
         reads = 20
         query = make_query(config, reads, class_index=1)
-        launch_visit(sim, site, query, random.Random(9), reads)
+        rng = random.Random(9)
+        launch_visit(sim, site, query, rng, reads)
         sim.run()
         reference = random.Random(9)
         expected = 0.0
+        completions = [0] * num_disks
         for _ in range(reads):
             expected += reference.uniform(0.8, 1.2)
-            reference.randrange(2)
+            completions[reference.randrange(num_disks)] += 1
             expected += reference.expovariate(1.0 / query.spec.page_cpu_time) / 2.0
         assert query.service_acquired == expected
+        assert [disk.completions for disk in site.disks] == completions
+        assert rng.getstate() == reference.getstate()
 
 
 class Crash(Exception):
@@ -159,11 +165,18 @@ class TestInterruptRace:
         self.config = paper_defaults().with_site(disk_time_dev=0.0)
         self.site = DBSite(self.sim, self.config, index=0)
         self.query = make_query(self.config, 3)
+        # Integrate every station's population, so the flush is checked
+        # on that monitor too.
+        for server in self.stations():
+            server.observe_population()
+
+    def stations(self):
+        return [self.site.cpu, *self.site.disks]
 
     def assert_idle(self):
-        for server in [self.site.cpu, *self.site.disks]:
+        for server in self.stations():
             assert server.busy.value == 0
-            assert server.population.value == 0
+            assert server.observe_population().value == 0
 
     def test_interrupt_in_service(self):
         sim, site = self.sim, self.site

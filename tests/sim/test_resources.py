@@ -196,9 +196,10 @@ class TestPSServer:
     def test_population_average(self):
         sim = Simulator()
         cpu = PSServer(sim)
+        population = cpu.observe_population()
         run_jobs(sim, cpu, [(0.0, 2.0, "a"), (0.0, 2.0, "b")])
         # 2 jobs present during the whole run.
-        assert cpu.population.time_average == pytest.approx(2.0)
+        assert population.time_average == pytest.approx(2.0)
 
     def test_many_jobs_all_finish(self):
         sim = Simulator()
@@ -228,14 +229,43 @@ class TestDelayStation:
         assert delay.completions == 2
 
 
+class TestPopulationOptIn:
+    def test_unobserved_by_default(self):
+        sim = Simulator()
+        server = FCFSServer(sim, servers=1)
+        run_jobs(sim, server, [(0.0, 2.0, "a"), (0.0, 1.0, "b")])
+        assert server.population is None
+        assert server.completions == 2
+
+    def test_observing_is_idempotent(self):
+        sim = Simulator()
+        cpu = PSServer(sim)
+        population = cpu.observe_population()
+        assert cpu.population is population
+        run_jobs(sim, cpu, [(0.0, 1.0, "a")])
+        assert cpu.observe_population() is population
+
+    @pytest.mark.parametrize("station", [FCFSServer, PSServer, DelayStation])
+    def test_a_late_monitor_is_refused(self, station):
+        # Started after the clock moved, the monitor would begin at zero
+        # with customers present and under-count without any error.
+        sim = Simulator()
+        server = station(sim)
+        run_jobs(sim, server, [(0.0, 2.0, "a")])
+        with pytest.raises(ResourceError, match="before the clock moves"):
+            server.observe_population()
+        assert server.population is None
+
+
 class TestStatisticsReset:
     def test_reset_truncates_everything(self):
         sim = Simulator()
         server = FCFSServer(sim, servers=1)
+        population = server.observe_population()
         run_jobs(sim, server, [(0.0, 2.0, "a")])
         server.reset_statistics()
         assert server.completions == 0
-        assert server.population.time_average == 0.0
+        assert population.time_average == 0.0
         assert server.utilization() == 0.0
         # Statistics restart from the reset instant: one more job that
         # queues behind nothing is the only thing counted afterwards.

@@ -147,6 +147,26 @@ class TestMonitorStats:
                 assert summary[f"{name}.avg"] == float(monitor.time_average)
                 assert summary[f"{name}.max"] == float(monitor.maximum)
 
+    def test_only_a_session_integrates_queue_lengths(self, tiny_config):
+        # Untraced, no station pays for a population monitor; a session
+        # switches every one on before the run.
+        untraced = make_system(tiny_config)
+        untraced.run(warmup=WARMUP, duration=DURATION)
+        stations = [
+            station
+            for site in untraced.sites
+            for station in (site.cpu, *site.disks)
+        ]
+        assert stations and all(s.population is None for s in stations)
+        traced = make_system(tiny_config)
+        with TelemetrySession(traced):
+            traced.run(warmup=WARMUP, duration=DURATION)
+        assert all(
+            station.population is not None
+            for site in traced.sites
+            for station in (site.cpu, *site.disks)
+        )
+
     def test_tallies_report_min_max_once_observed(self, tiny_config):
         system = make_system(tiny_config)
         session = TelemetrySession(system, TelemetryConfig(events=False))
