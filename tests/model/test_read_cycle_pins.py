@@ -12,7 +12,9 @@ moves, repeats or aborts visits, and pins three values of one short run:
 The results sha256 is the contract: a change to how read cycles are
 scheduled must keep it.  The trace digest and ``events_fired`` pin the
 kernel's event order; a change that moves them on purpose (10.0.0
-serves the next burst inside the completion) re-records them, and only
+serves the next burst inside the completion; 12.0.0 draws through
+``random``/``getrandbits`` instead of ``expovariate``/``randrange``,
+which the sanitizer records by method name) re-records them, and only
 them, on its own.
 """
 
@@ -82,50 +84,50 @@ SCENARIOS = {
 #: scenario -> (trace digest, trace records, events fired, results sha256)
 PINS = {
     "migration": (
-        "f9215c5f5049239ba735ad12a0978219",
-        7629,
+        "75e9a92cf6d92e9fafe182e5d06d72b0",
+        8995,
         3330,
         "612c8beafa3628bfc662aca0b454c126"
         "208e6f03e93b7cabe837ed6f98818f97",
     ),
     "pipelines": (
-        "0bda19a54bc7c5e3b253edc759f40c99",
-        7541,
+        "ef9e084eef064fbe2e25bce56e8eeddc",
+        8927,
         3071,
         "9680cf1bb398fd8e092629128e2ecbca"
         "1c040c95c35a67d44b863dde08b20636",
     ),
     "updates": (
-        "8ef74f0cd6a371d5fa997cd973d72783",
-        8458,
+        "fc8111036f674ed95287a8a11384cb4a",
+        10004,
         3473,
         "a73c09d1c9166b2d687d4ab7068fbffc"
         "172d659927b7392a26dd5a913df0db97",
     ),
     "speeds": (
-        "7d7c7480ea51a3e3ff30b6629b27de38",
-        7277,
+        "1e2ef469382ef672f59377067524136f",
+        8642,
         2945,
         "2d39392059a8ffc88a8ce76b57ecfe71"
         "0a25a3962115f156c60b64e91361a98b",
     ),
     "shared_disks": (
-        "fd83989930070eaabf561d78275a835b",
+        "f7f0af57d72c373903fb5c165604b6d2",
         5903,
         2930,
         "c6997b83a40445f5694a738760cb148a"
         "051e67a2d666d3b31df4c99ecf341e80",
     ),
     "one_disk": (
-        "3acfb1e15272c6885e6c32d7ff8eb816",
+        "c7a9e105f46502ec0e085f094cfa5492",
         5815,
         2882,
         "cee0da8432f9bbe6063ba87b105d755a"
         "12203e05caba9abaedf4ff876b9c1367",
     ),
     "outage": (
-        "a46e2782c27f47e19dd0c64d699cbd28",
-        7309,
+        "f6bbe6b9028bb07bf4427c30deb3cb69",
+        8687,
         2969,
         "b27d3e0514608052e44e4101e5b0a216"
         "620e0126b1ec47fc953e0b6b234b1b55",

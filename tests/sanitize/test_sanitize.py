@@ -193,6 +193,6 @@ def test_cli_smoke_output_is_pinned(capsys):
     assert main(["--smoke"]) == 0
     out = capsys.readouterr().out
     assert out == (
-        "replays identical: 11144 records, "
-        "digest b4e53a395190f6b8ed6f0d4fee0a9f1b\n"
+        "replays identical: 13199 records, "
+        "digest 9fb54fd6207c5a3f8fd3ad48900d2f6f\n"
     )
