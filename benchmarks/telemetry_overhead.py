@@ -36,7 +36,13 @@ session only buffers events during the run and defers span pairing and
 regret scoring until results are read, so the gate measures exactly
 what tracing adds to the run itself;
 the post-run assembly/export cost is proportional to the trace size,
-like any other export.
+like any other export.  That includes the session's queue gauges: a
+station integrates its population only when a session asks for it, so
+the disabled run skips those monitor updates and the traced run pays
+for them, a few percent of the loop that the enabled ratio shows.
+The ratio also rises whenever the untraced loop gets cheaper, because
+the same emit cost is then a larger share of it: a higher enabled
+ratio need not mean a slower traced run.
 
 Usage::
 
