@@ -127,12 +127,17 @@ class TestService:
             reference.expovariate(1.0 / query.spec.page_cpu_time)
         assert rng.getstate() == reference.getstate()
 
-    @pytest.mark.parametrize("num_disks", [2, 3])
-    def test_draws_follow_the_paper_distributions(self, num_disks):
+    def test_draws_follow_the_paper_distributions(self):
+        self.check_draws(num_disks=2)
+
+    def test_draws_follow_the_paper_distributions_on_three_disks(self):
+        # Three disks reach rng.randrange's rejection loop.
+        self.check_draws(num_disks=3)
+
+    def check_draws(self, num_disks):
         # Per page: U(disk_time ± dev) as rng.uniform draws it, the disk
-        # as rng.randrange picks it (three disks reach its rejection
-        # loop), then the CPU burst as rng.expovariate draws it;
-        # service_acquired adds them one by one.
+        # as rng.randrange picks it, then the CPU burst as
+        # rng.expovariate draws it; service_acquired adds them one by one.
         sim = Simulator()
         config = paper_defaults().with_site(num_disks=num_disks)
         site = DBSite(sim, config, index=0, cpu_speed=2.0)
