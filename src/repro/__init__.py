@@ -130,7 +130,7 @@ from repro.workloads import (
     WorkloadSpec,
 )
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "DistributedDatabase",

@@ -409,8 +409,8 @@ class PrintInCore(Rule):
     code = "RL009"
     name = "no-print-in-core"
     summary = (
-        "no print() in sim/model/policies/queueing; return results or "
-        "subscribe to TraceMessage on Simulator.bus"
+        "no print() in sim/model/policies/queueing; return results, or "
+        "record a run with repro.sanitize.capture_trace"
     )
     scope = CORE_SIM_SCOPE
 
@@ -420,9 +420,9 @@ class PrintInCore(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    "print() in core simulation code; return data or "
-                    "subscribe to TraceMessage on Simulator.bus (output "
-                    "belongs in repro.experiments)",
+                    "print() in core simulation code; return data, or "
+                    "record the run with repro.sanitize.capture_trace "
+                    "(output belongs in repro.experiments)",
                 )
 
 
@@ -594,7 +594,7 @@ class EventListEncapsulation(Rule):
                     node,
                     f"access to event-queue private structure "
                     f"{node.attr!r} outside repro.sim.events; go through "
-                    "push/rent/cancel/pop_due/peek_time instead",
+                    "push/rent/cancel/pop_due instead",
                 )
 
 
@@ -604,18 +604,17 @@ class GuardedEmit(Rule):
 
     The telemetry bus's zero-cost-when-disabled property rests on the
     *guarded emit* idiom: every ``bus.emit(...)`` in kernel/model code
-    sits behind a ``wants``/``wants_type``/``trace_wanted``/``active``
-    test so a telemetry-free run never constructs an event object.  An
-    unguarded emit silently re-introduces per-event allocation on the
-    hot path — exactly the overhead the disabled-telemetry benchmark
-    gate exists to keep out, except at a call site the benchmark's
-    scenario may not cover.
+    sits behind a ``wants``/``active`` test so a telemetry-free run never
+    constructs an event object.  An unguarded emit silently
+    re-introduces per-event allocation on the hot path — exactly the
+    overhead the disabled-telemetry benchmark gate exists to keep out,
+    except at a call site the benchmark's scenario may not cover.
 
     Recognized guard shapes (all appear in the codebase):
 
     * an ancestor ``if`` whose test mentions a guard attribute — either
-      branch, so the engine's tracing loop (the ``else`` of
-      ``if not bus.trace_wanted:``) counts;
+      branch, so an emit in the ``else`` of ``if not bus.active:``
+      counts;
     * a *preceding* early-exit guard in the same statement suite
       (``if ... not bus.wants(...): return`` — the
       ``LoadBoard._announce`` shape);
@@ -627,14 +626,12 @@ class GuardedEmit(Rule):
     name = "guarded-emit"
     summary = (
         "bus.emit in kernel/model hot paths must sit behind a "
-        "wants()/wants_type()/trace_wanted/active guard so disabled "
+        "wants()/active guard so disabled "
         "telemetry constructs no event objects"
     )
     scope = ("repro.sim", "repro.model")
 
-    _GUARD_NAMES: FrozenSet[str] = frozenset(
-        {"wants", "wants_type", "trace_wanted", "active"}
-    )
+    _GUARD_NAMES: FrozenSet[str] = frozenset({"wants", "active"})
 
     def _mentions_guard(self, test: ast.expr) -> bool:
         for node in ast.walk(test):
@@ -756,8 +753,7 @@ class GuardedEmit(Rule):
                         node,
                         "unguarded bus.emit on a kernel/model hot path; "
                         "wrap it in `if bus.active and bus.wants(Type):` "
-                        "(or wants_type for opt-in events) so disabled "
-                        "telemetry constructs nothing",
+                        "so disabled telemetry constructs nothing",
                     )
 
 

@@ -330,7 +330,7 @@ class DistributedDatabase:
     ) -> None:
         """Publish the decision-audit record for one allocation decision.
 
-        Opt-in (like :class:`TraceMessage`): only a session with
+        Opt-in: only a session with
         ``TelemetryConfig(decisions=True)`` subscribes to it, so event
         logs without decisions keep their digests and the extra
         load-board reads only happen when decisions are audited.

@@ -14,13 +14,12 @@ reversibly:
 * :meth:`repro.sim.rng.RandomStreams.stream` and
   :meth:`~repro.sim.rng.RandomStreams.once` — every fetched stream is
   wrapped in a recording proxy, so each draw logs
-  ``(stream name, method, value)``.  ``spawn``-ed child families are
-  covered automatically (the patch is on the class).
-* ``pop``/``pop_due`` on the future-event list — every event the engine
-  fires logs ``(time, priority, seq, label)``.
-  :meth:`Simulator._drive` binds ``queue.pop_due`` at entry, so the
-  patch must be active *before* ``run()`` — entering the context
-  manager before building the system satisfies this.
+  ``(stream name, method, value)``.
+* ``pop_due`` on the future-event list — every event the engine fires
+  logs ``(time, priority, seq, label)``.  :meth:`Simulator.run` binds
+  ``queue.pop_due`` at entry, so the patch must be active *before*
+  ``run()`` — entering the context manager before building the system
+  satisfies this.
 
 Each record is folded into a running BLAKE2b digest, so comparing two
 multi-million-event traces is O(1) memory beyond the bounded record
@@ -146,8 +145,8 @@ def capture_trace() -> Iterator[DeterminismTrace]:
     """Instrument stream draws and event pops for the enclosed code.
 
     Yields the :class:`DeterminismTrace` being filled.  Patches are
-    class-level, so every :class:`Simulator` (and every ``spawn``-ed
-    stream family) constructed inside the block is covered; they are
+    class-level, so every :class:`Simulator` (and every stream family)
+    constructed inside the block is covered; they are
     restored on exit even if the block raises.  Not reentrant.
     """
     trace = DeterminismTrace()
@@ -170,27 +169,22 @@ def capture_trace() -> Iterator[DeterminismTrace]:
         # stream the proxy of a dead one.
         return _RecordingStream(name, original_once(self, name), trace)
 
-    def wrap_pop(
-        original: Callable[..., Optional[Event]],
-    ) -> Callable[..., Optional[Event]]:
-        def recording_pop(self: Any, *args: Any) -> Optional[Event]:
-            event = original(self, *args)
-            if event is not None:
-                trace.event(event)
-            return event
+    original_pop_due = EventQueue.pop_due
 
-        return recording_pop
+    def recording_pop_due(self: EventQueue, until: float) -> Optional[Event]:
+        event = original_pop_due(self, until)
+        if event is not None:
+            trace.event(event)
+        return event
 
     patches: List[Tuple[type, str, Any]] = [
         (RandomStreams, "stream", RandomStreams.stream),
         (RandomStreams, "once", RandomStreams.once),
-        (EventQueue, "pop", EventQueue.pop),
-        (EventQueue, "pop_due", EventQueue.pop_due),
+        (EventQueue, "pop_due", original_pop_due),
     ]
     setattr(RandomStreams, "stream", recording_stream)
     setattr(RandomStreams, "once", recording_once)
-    setattr(EventQueue, "pop", wrap_pop(EventQueue.pop))
-    setattr(EventQueue, "pop_due", wrap_pop(EventQueue.pop_due))
+    setattr(EventQueue, "pop_due", recording_pop_due)
     try:
         yield trace
     finally:

@@ -3,10 +3,11 @@
 Exports the pieces model code actually touches:
 
 * :class:`Simulator` — clock, event loop, process launcher, RNG streams.
-* :class:`Hold`, :class:`Passivate` — process commands.
+* :class:`Hold`, :class:`Passivate`, :class:`WaitFor` — process commands.
 * :class:`FCFSServer`, :class:`PSServer`, :class:`DelayStation` — resources.
 * :class:`Tally`, :class:`TimeWeighted` — statistics monitors.
-* Distribution classes for declarative workload specifications.
+* :class:`RandomStreams` and :func:`bernoulli` — named random streams.
+* :func:`batch_means`, :func:`mean_and_ci` — interval estimates.
 """
 
 from repro.sim.engine import Simulator
@@ -20,19 +21,8 @@ from repro.sim.errors import (
 from repro.sim.monitor import Tally, TimeWeighted
 from repro.sim.process import Hold, Passivate, Process, ProcessState, WaitFor
 from repro.sim.resources import DelayStation, FCFSServer, PSServer, Server
-from repro.sim.rng import (
-    Constant,
-    Discrete,
-    Distribution,
-    Exponential,
-    Geometric,
-    RandomStreams,
-    Uniform,
-    UniformAround,
-    bernoulli,
-    choose_index,
-)
-from repro.sim.stats import IntervalEstimate, batch_means, mean_and_ci, relative_change
+from repro.sim.rng import RandomStreams, bernoulli
+from repro.sim.stats import IntervalEstimate, batch_means, mean_and_ci
 
 __all__ = [
     "Simulator",
@@ -53,17 +43,8 @@ __all__ = [
     "PSServer",
     "DelayStation",
     "RandomStreams",
-    "Distribution",
-    "Constant",
-    "Exponential",
-    "Uniform",
-    "UniformAround",
-    "Geometric",
-    "Discrete",
     "bernoulli",
-    "choose_index",
     "IntervalEstimate",
     "batch_means",
     "mean_and_ci",
-    "relative_change",
 ]

@@ -16,15 +16,14 @@ Typical use::
     sim.launch(job(1.5))
     sim.run(until=100.0)
 
-Hot-path layout (see ``docs/performance.md``): the unbounded
-:meth:`Simulator.run` loop is *subscription-swapped* — it runs a tight
-fast loop (pop, advance clock, call) while nobody subscribes to
-:class:`~repro.telemetry.events.TraceMessage`, and switches to a tracing
-loop only while an explicit subscriber exists.  Both loops drive the
-queue through :meth:`~repro.sim.events.EventQueue.pop_due`, which fuses
-the peek / horizon-check / pop triple of the pre-overhaul loop into one
-call.  The golden suite (``tests/golden/``) pins that every layout
-replays recorded runs byte-identically.
+Hot-path layout (see ``docs/performance.md``): :meth:`Simulator.run` is
+one tight loop (pop, advance clock, call, recycle) that drives the queue
+through :meth:`~repro.sim.events.EventQueue.pop_due`, which fuses the
+peek / horizon-check / pop triple into one call.  The kernel publishes
+nothing on the bus; :func:`repro.sanitize.capture_trace` records every
+fired event when a run needs to be seen event by event.  The golden
+suite (``tests/golden/``) pins that the loop replays recorded runs
+byte-identically.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.sim.errors import ProcessError, SchedulingError
 from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue, validate_delay
 from repro.sim.rng import RandomStreams
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import TraceMessage
 
 _INFINITY = math.inf
 
@@ -49,10 +47,7 @@ class Simulator:
         seed: The master seed the engine was constructed with.
         rng: Named random-number streams (see :class:`~repro.sim.rng.RandomStreams`).
         bus: The run's typed telemetry event bus (see
-            :mod:`repro.telemetry.bus`).  Labelled kernel events are
-            published as :class:`~repro.telemetry.events.TraceMessage`
-            — but only when something subscribed to ``TraceMessage``
-            specifically, so an idle bus costs one attribute test per event.
+            :mod:`repro.telemetry.bus`), shared by the model components.
 
     Args:
         seed: Master seed for the run's random streams.
@@ -65,7 +60,6 @@ class Simulator:
         "bus",
         "_queue",
         "_running",
-        "_process_count",
         "_event_count",
         "current_process",
     )
@@ -77,7 +71,6 @@ class Simulator:
         self.bus = EventBus()
         self._queue = EventQueue()
         self._running = False
-        self._process_count = 0
         self._event_count = 0
         #: The process whose generator is currently executing, or ``None``
         #: when control is in plain event callbacks.  Maintained by
@@ -153,133 +146,54 @@ class Simulator:
 
         process = Process(self, generator, name=name)
         process.activate(delay=delay)
-        self._process_count += 1
         return process
 
     # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the single next event.
-
-        Returns:
-            ``True`` if an event fired, ``False`` if the queue was empty.
-        """
-        queue = self._queue
-        if not queue:
-            return False
-        event = queue.pop()
-        if event.time < self.now:
-            raise SchedulingError(
-                f"time went backwards: event at {event.time} < now {self.now}"
-            )
-        self.now = event.time
-        self._event_count += 1
-        # Guarded emit: TraceMessage is high-volume, so it is produced only
-        # for subscribers that name it (bus.trace_wanted).
-        if self.bus.trace_wanted and event.label is not None:
-            self.bus.emit(TraceMessage(time=self.now, label=event.label))
-        event.callback()
-        if event.recyclable:
-            queue.recycle(event)
-        return True
-
-    def _drive(self, limit: float) -> None:
-        """The unbounded inner loop: fire every event with time <= limit.
-
-        Two hand-specialized loops with hoisted locals; control hops
-        between them only when a ``TraceMessage`` subscription appears or
-        disappears mid-run.  The fired-event tally is flushed to
-        ``self._event_count`` even when a callback raises.
-        """
-        queue = self._queue
-        pop_due = queue.pop_due
-        recycle = queue.recycle
-        bus = self.bus
-        fired = 0
-        try:
-            while True:
-                if not bus.trace_wanted:
-                    while True:
-                        event = pop_due(limit)
-                        if event is None:
-                            return
-                        self.now = event.time
-                        fired += 1
-                        event.callback()
-                        if event.recyclable:
-                            recycle(event)
-                        if bus.trace_wanted:
-                            break
-                else:
-                    emit = bus.emit
-                    while True:
-                        event = pop_due(limit)
-                        if event is None:
-                            return
-                        self.now = event.time
-                        fired += 1
-                        label = event.label
-                        if label is not None:
-                            emit(TraceMessage(time=event.time, label=label))
-                        event.callback()
-                        if event.recyclable:
-                            recycle(event)
-                        if not bus.trace_wanted:
-                            break
-        finally:
-            self._event_count += fired
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run the event loop.
+    def run(self, until: Optional[float] = None) -> float:
+        """Fire every event due up to *until* (all of them when ``None``).
 
         Args:
-            until: Stop once the clock would pass this time.  The clock is
-                advanced to exactly ``until`` on a timed stop so that
-                time-weighted statistics close out correctly.
-            max_events: Stop after firing this many events (safety valve for
-                tests); ``None`` means unlimited.
+            until: The horizon.  The clock ends at exactly ``until``, with
+                or without events pending beyond it, so that time-weighted
+                statistics close out over ``[0, until]``.
 
         Returns:
             The simulated time at which the loop stopped.
+
+        Raises:
+            SchedulingError: If *until* lies before the current time or
+                is NaN.
+            ProcessError: On a re-entrant call from inside a callback.
         """
         if self._running:
             raise ProcessError("simulator is already running (re-entrant run())")
+        if until is not None and not until >= self.now:
+            # NaN fails the comparison too: as a horizon it would let
+            # every event fire, so a closed model would never stop.
+            raise SchedulingError(f"cannot run until t={until} from now={self.now}")
+        queue = self._queue
+        pop_due = queue.pop_due
+        recycle = queue.recycle
+        limit = _INFINITY if until is None else until
+        fired = 0
         self._running = True
         try:
-            if max_events is None:
-                self._drive(_INFINITY if until is None else until)
-                if until is not None and (
-                    self._queue.peek_time() is not None or self.now < until
-                ):
-                    # Timed stop (pending events beyond the horizon) or a
-                    # drained event list: pin the clock to the horizon so
-                    # callers measuring over [0, until] get consistent
-                    # denominators.
-                    self.now = until
-            else:
-                # Bounded runs are a test-only safety valve; they keep the
-                # straightforward peek/step loop.  Note the clock is *not*
-                # pinned to the horizon when the event budget runs out
-                # with work still due before it.
-                fired = 0
-                while fired < max_events:
-                    next_time = self._queue.peek_time()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        self.now = until
-                        break
-                    self.step()
-                    fired += 1
-                if (
-                    until is not None
-                    and self.now < until
-                    and self._queue.peek_time() is None
-                ):
-                    self.now = until
+            while True:
+                event = pop_due(limit)
+                if event is None:
+                    break
+                self.now = event.time
+                fired += 1
+                event.callback()
+                if event.recyclable:
+                    recycle(event)
         finally:
             self._running = False
+            self._event_count += fired
+        if until is not None:
+            self.now = until
         return self.now
 
     # ------------------------------------------------------------------

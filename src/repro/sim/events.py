@@ -8,12 +8,12 @@ into an event.
 The future-event list, :class:`EventQueue`, keeps a total order by
 ``(time, priority, seq)`` with lazy deletion.  It is a binary heap of
 ``(time, priority, seq, event)`` *tuples*, so every sift comparison runs at
-C speed instead of calling :meth:`Event.__lt__`, plus a free-list that
+C speed and events themselves are never compared, plus a free-list that
 recycles the :class:`Event` objects of kernel-internal resume events (see
 :meth:`EventQueue.rent`).  Rented events due at the current instant, which
 is about half of all events in a paper run (every zero-delay process
-resume), skip the heap: they wait in a FIFO *same-instant lane* that the
-pop operations merge with the heap by the same full key.
+resume), skip the heap: they wait in a FIFO *same-instant lane* that
+:meth:`EventQueue.pop_due` merges with the heap by the same full key.
 
 The monotonically increasing sequence number guarantees deterministic FIFO
 ordering among events scheduled for the same instant, which in turn makes
@@ -38,9 +38,6 @@ from repro.sim.errors import SchedulingError
 #: events.  Model code rarely needs to change this; the kernel uses elevated
 #: priorities internally for bookkeeping events that must precede model logic.
 DEFAULT_PRIORITY = 0
-
-_INFINITY = float("inf")
-
 
 def _discarded_callback() -> None:  # pragma: no cover - never scheduled
     raise SchedulingError("a recycled event's callback fired")
@@ -103,13 +100,6 @@ class Event:
         """Whether the event has been retracted and will not fire."""
         return self._cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""
         state = " cancelled" if self._cancelled else ""
@@ -117,23 +107,21 @@ class Event:
 
 
 #: One future-event-list entry.  The ``seq`` element is unique, so tuple
-#: comparison never reaches the (incomparable-by-design) ``Event`` element,
-#: and the global order is exactly ``(time, priority, seq)`` — identical to
-#: the pre-overhaul ``Event.__lt__`` heap.
+#: comparison never reaches the (incomparable) ``Event`` element, and the
+#: global order is exactly ``(time, priority, seq)``.
 _Entry = Tuple[float, int, int, Event]
 
 
 class EventQueue:
     """Future-event list: a lazy-deletion heap plus a same-instant lane.
 
-    The queue never raises on cancelled events; they are skipped during
-    :meth:`pop`.  ``len(queue)`` counts live (non-cancelled) events.
+    The queue never raises on cancelled events; they are skipped by
+    :meth:`pop_due`.  ``len(queue)`` counts live (non-cancelled) events.
 
     Hot-path design (see ``docs/performance.md``):
 
     * entries are ``(time, priority, seq, event)`` tuples so ``heapq``
-      sift comparisons stay in C — the pre-overhaul heap called the
-      Python-level ``Event.__lt__`` O(log n) times per push/pop;
+      sift comparisons stay in C;
     * :meth:`rent`/:meth:`recycle` reuse :class:`Event` objects for the
       engine's internal resume events (one slot-write burst instead of an
       allocation per event);
@@ -149,7 +137,7 @@ class EventQueue:
     that leaves the heap while the lane is empty; it cannot change while
     the lane holds entries.  Rented entries carry
     :data:`DEFAULT_PRIORITY`, so the lane is sorted by the full
-    ``(time, priority, seq)`` key, and the pop operations take the lane
+    ``(time, priority, seq)`` key, and :meth:`pop_due` takes the lane
     head only when the heap top's key is greater: events fire in exactly
     the order a single heap would give them.
     """
@@ -240,41 +228,12 @@ class EventQueue:
         event._cancelled = True
         self._live -= 1
 
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event, or ``None`` if empty."""
-        lane = self._lane
-        while lane and lane[0][3]._cancelled:
-            event = lane.popleft()[3]
-            if event.recyclable:
-                self.recycle(event)
-        heap = self._heap
-        while heap and heap[0][3]._cancelled:
-            event = heapq.heappop(heap)[3]
-            if event.recyclable:
-                self.recycle(event)
-        if lane and not (heap and heap[0] < lane[0]):
-            return lane[0][0]
-        if heap:
-            return heap[0][0]
-        return None
-
-    def pop(self) -> Event:
-        """Remove and return the next live event.
-
-        Raises:
-            SchedulingError: If the queue holds no live events.
-        """
-        event = self._pop_due(_INFINITY)
-        if event is None:
-            raise SchedulingError("event queue is empty")
-        return event
-
     def pop_due(self, until: float) -> Optional[Event]:
         """Pop the next live event with ``time <= until``, else ``None``.
 
-        The engine's inner loop runs on this: it fuses ``peek_time`` +
-        horizon check + ``pop`` into one call (pass ``math.inf`` for an
-        unbounded run).  Cancelled entries encountered on the way are
+        The engine's inner loop runs on this: it fuses peek, horizon
+        check and pop into one call (pass ``math.inf`` for an unbounded
+        run).  Cancelled entries encountered on the way are
         dropped and their recyclable events free-listed.  The lane head
         is taken unless the heap top's key is smaller.
         """
@@ -311,11 +270,6 @@ class EventQueue:
             event.fired = True
             self._live -= 1
             return event
-
-    #: :meth:`pop` runs the same loop without looking up ``pop_due``, so
-    #: wrappers of both (the kernel profiler, ``repro.sanitize``) see a
-    #: ``pop`` as one operation.
-    _pop_due = pop_due
 
     def clear(self) -> None:
         """Discard every pending event."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.errors import ProcessError
 from repro.sim.events import Event, validate_delay
@@ -187,13 +187,11 @@ class Process:
         "sim",
         "pid",
         "name",
-        "result",
         "_generator",
         "_state",
         "_resume_event",
         "_resume_value",
         "_resume_label",
-        "_on_terminate",
         "_queue",
     )
 
@@ -208,9 +206,7 @@ class Process:
         self._resume_event: Optional[Event] = None
         self._resume_value: Any = None
         self._resume_label = self.name + ":resume"
-        self._on_terminate: List[Callable[["Process"], None]] = []
         self._queue = sim._queue
-        self.result: Any = None
 
     # ------------------------------------------------------------------
     # Public control surface
@@ -264,13 +260,6 @@ class Process:
             0.0, lambda: self._throw(exception), label=f"{self.name}:interrupt"
         )
 
-    def on_terminate(self, callback: Callable[["Process"], None]) -> None:
-        """Register *callback* to run when the process finishes."""
-        if self.terminated:
-            callback(self)
-        else:
-            self._on_terminate.append(callback)
-
     # ------------------------------------------------------------------
     # Kernel-side driving machinery
     # ------------------------------------------------------------------
@@ -317,8 +306,8 @@ class Process:
         try:
             try:
                 command = self._generator.send(value)
-            except StopIteration as stop:
-                self._finish(stop.value)
+            except StopIteration:
+                self._state = ProcessState.TERMINATED
                 return
         finally:
             sim.current_process = previous
@@ -334,8 +323,8 @@ class Process:
         try:
             try:
                 command = self._generator.throw(exception)
-            except StopIteration as stop:
-                self._finish(stop.value)
+            except StopIteration:
+                self._state = ProcessState.TERMINATED
                 return
         finally:
             sim.current_process = previous
@@ -350,13 +339,6 @@ class Process:
         # resource queue (service requests -> WAITING), or passivate it.
         self._state = ProcessState.WAITING
         command.execute(self)
-
-    def _finish(self, result: Any) -> None:
-        self._state = ProcessState.TERMINATED
-        self.result = result
-        callbacks, self._on_terminate = self._on_terminate, []
-        for callback in callbacks:
-            callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name} {self._state.value}>"

@@ -1,4 +1,4 @@
-"""Random-number streams and service-time distributions.
+"""Named random-number streams.
 
 Reproducible stochastic simulation needs *independent, named* random streams:
 one stream per stochastic activity (think times, CPU demands, disk times,
@@ -10,19 +10,15 @@ identical workloads.
 
 :class:`RandomStreams` derives each named stream deterministically from a
 master seed, so ``RandomStreams(7).stream("think")`` is the same sequence in
-every run of every process.
-
-Distributions are small frozen objects that *describe* a distribution; they
-are sampled through a stream: ``dist.sample(rng)``.  This keeps workload
-specifications (:mod:`repro.model.config`) declarative and serializable.
+every run of every process.  The model draws its variates from these
+streams directly (``rng.expovariate``, ``rng.uniform``, ...): the workload
+parameters in :mod:`repro.model.config` are plain numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.sim.errors import SimulationError
@@ -87,171 +83,8 @@ class RandomStreams:
         """Names of the streams :meth:`stream` has cached, sorted."""
         return tuple(sorted(self._streams))
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child family whose master seed is derived from *name*.
-
-        Useful for replications: ``streams.spawn(f"rep{i}")`` gives each
-        replication its own independent universe of named streams.
-        """
-        return RandomStreams(_derive_seed(self.master_seed, f"spawn:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RandomStreams seed={self.master_seed} streams={list(self.cached_names)}>"
-
-
-class Distribution:
-    """Base class for sampleable distribution descriptions."""
-
-    def sample(self, rng: random.Random) -> float:
-        """Draw one variate using the supplied generator."""
-        raise NotImplementedError
-
-    @property
-    def mean(self) -> float:
-        """Expected value of the distribution."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Constant(Distribution):
-    """Degenerate distribution: always returns ``value``."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise SimulationError(f"Constant value must be >= 0, got {self.value}")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.value
-
-    @property
-    def mean(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential distribution parameterized by its *mean* (not rate)."""
-
-    mean_value: float
-
-    def __post_init__(self) -> None:
-        if self.mean_value <= 0:
-            raise SimulationError(
-                f"Exponential mean must be > 0, got {self.mean_value}"
-            )
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean_value)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
-
-
-@dataclass(frozen=True)
-class Uniform(Distribution):
-    """Uniform distribution on ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise SimulationError(
-                f"Uniform requires 0 <= low <= high, got [{self.low}, {self.high}]"
-            )
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class UniformAround(Distribution):
-    """Uniform on ``center ± center*relative_deviation``.
-
-    This is the paper's disk-time specification: "disk service times are
-    uniformly distributed on the range disk_time ± disk_time_dev" with the
-    deviation given as a percentage of the mean.
-    """
-
-    center: float
-    relative_deviation: float
-
-    def __post_init__(self) -> None:
-        if self.center <= 0:
-            raise SimulationError(f"center must be > 0, got {self.center}")
-        if not 0 <= self.relative_deviation <= 1:
-            raise SimulationError(
-                "relative_deviation must be in [0, 1], got "
-                f"{self.relative_deviation}"
-            )
-
-    def sample(self, rng: random.Random) -> float:
-        half_width = self.center * self.relative_deviation
-        return rng.uniform(self.center - half_width, self.center + half_width)
-
-    @property
-    def mean(self) -> float:
-        return self.center
-
-
-@dataclass(frozen=True)
-class Geometric(Distribution):
-    """Geometric number of cycles with the given mean, support {1, 2, ...}.
-
-    A discrete stand-in for "exponentially distributed number of reads":
-    the paper draws ``num_reads`` from an exponential distribution; a query
-    must read at least one page, so we also offer this discrete variant
-    (used when ``integer_reads=True`` in the workload config).
-    """
-
-    mean_value: float
-
-    def __post_init__(self) -> None:
-        if self.mean_value < 1:
-            raise SimulationError(
-                f"Geometric mean must be >= 1, got {self.mean_value}"
-            )
-
-    def sample(self, rng: random.Random) -> float:
-        if self.mean_value == 1:
-            return 1.0
-        success = 1.0 / self.mean_value
-        # Inverse-CDF sampling of the geometric distribution on {1, 2, ...}.
-        u = rng.random()
-        return float(1 + int(math.log(1.0 - u) / math.log(1.0 - success)))
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
-
-
-@dataclass(frozen=True)
-class Discrete(Distribution):
-    """Finite discrete distribution over ``values`` with ``weights``."""
-
-    values: Tuple[float, ...]
-    weights: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.weights) or not self.values:
-            raise SimulationError("values and weights must be equal-length, non-empty")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise SimulationError("weights must be non-negative with positive sum")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.choices(self.values, weights=self.weights, k=1)[0]
-
-    @property
-    def mean(self) -> float:
-        total = sum(self.weights)
-        return sum(v * w for v, w in zip(self.values, self.weights)) / total
 
 
 def bernoulli(rng: random.Random, probability: float) -> bool:
@@ -261,22 +94,4 @@ def bernoulli(rng: random.Random, probability: float) -> bool:
     return rng.random() < probability
 
 
-def choose_index(rng: random.Random, count: int) -> int:
-    """Uniformly choose an index in ``range(count)``."""
-    if count <= 0:
-        raise SimulationError(f"count must be positive, got {count}")
-    return rng.randrange(count)
-
-
-__all__ = [
-    "RandomStreams",
-    "Distribution",
-    "Constant",
-    "Exponential",
-    "Uniform",
-    "UniformAround",
-    "Geometric",
-    "Discrete",
-    "bernoulli",
-    "choose_index",
-]
+__all__ = ["RandomStreams", "bernoulli"]

@@ -134,21 +134,9 @@ def mean_and_ci(
     return IntervalEstimate(mean, half, confidence, n)
 
 
-def relative_change(new: float, base: float) -> float:
-    """``(base - new) / base`` — the paper's improvement measure ΔX/X.
-
-    Positive when *new* improves on (is smaller than) *base*.  Returns 0.0
-    when *base* is 0 to keep tables printable for degenerate corners.
-    """
-    if base == 0:
-        return 0.0
-    return (base - new) / base
-
-
 __all__ = [
     "IntervalEstimate",
     "batch_means",
     "mean_and_ci",
-    "relative_change",
     "student_t_quantile",
 ]

@@ -45,7 +45,6 @@ from repro.telemetry.events import (
     SiteCrashed,
     SiteRecovered,
     TelemetryEvent,
-    TraceMessage,
     WarmupEnded,
 )
 from repro.telemetry.exporters import (
@@ -112,7 +111,6 @@ __all__ = [
     "ServiceStarted",
     "QueryCompleted",
     "LoadBoardUpdated",
-    "TraceMessage",
     "SiteCrashed",
     "SiteRecovered",
     "QueryAborted",

@@ -16,8 +16,7 @@ the property the disabled-telemetry benchmark
 Dispatch is by *exact* event type (no ``isinstance`` walk): a subscriber
 for ``QueryCompleted`` sees only ``QueryCompleted`` events, and a
 collector that wants many types subscribes to each.  That keeps the
-opt-in event types (:class:`~repro.telemetry.events.TraceMessage`,
-:class:`~repro.telemetry.events.ServiceFinished`,
+opt-in event types (:class:`~repro.telemetry.events.ServiceFinished`,
 :class:`~repro.telemetry.events.AllocationDecided`) unconstructed unless
 something names them.
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple, Type
 
-from repro.telemetry.events import TelemetryEvent, TraceMessage
+from repro.telemetry.events import TelemetryEvent
 
 #: A subscriber callable.  Handlers for a specific type may annotate the
 #: concrete event class; the bus stores them type-erased.
@@ -63,17 +62,11 @@ class EventBus:
         active: ``True`` while at least one subscription exists.  A plain
             attribute (not a property) so hot kernel paths can test it at
             attribute-load cost.
-        trace_wanted: ``True`` while a
-            :class:`~repro.telemetry.events.TraceMessage` subscriber
-            exists (``wants(TraceMessage)`` as a plain attribute).
-            The engine's event loop keys its fast/slow path off this, so
-            an un-traced run never tests the subscription tables at all.
         emitted: Total events dispatched so far.
     """
 
     def __init__(self) -> None:
         self.active: bool = False
-        self.trace_wanted: bool = False
         self.emitted: int = 0
         # type -> immutable handler snapshot (rebuilt on (un)subscribe so
         # emit() can iterate without copying).
@@ -115,7 +108,6 @@ class EventBus:
             )
         self._by_type = {kind: tuple(handlers) for kind, handlers in by_type.items()}
         self.active = bool(self._by_type)
-        self.trace_wanted = TraceMessage in self._by_type
 
     # ------------------------------------------------------------------
     # Emission

@@ -23,9 +23,6 @@ Event                   Emitted when / by
                         (model/metrics.py — covers every system kind)
 :class:`LoadBoardUpdated`  a query is (de)registered on the load board
                         (model/loadboard.py)
-:class:`TraceMessage`   a labelled kernel event fires (sim/engine.py).
-                        High-volume; only emitted when something subscribes
-                        to ``TraceMessage`` specifically.
 :class:`SiteCrashed`    the fault injector takes a site down
                         (faults/injector.py)
 :class:`SiteRecovered`  a crashed site comes back up (faults/injector.py)
@@ -183,19 +180,6 @@ class LoadBoardUpdated(TelemetryEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class TraceMessage(TelemetryEvent):
-    """A labelled kernel event fired (the old ``trace`` hook, typed).
-
-    High-volume: one per labelled event on the future-event list.  The
-    engine only constructs these when something subscribed to
-    ``TraceMessage`` by name (a session's event log does not), so bulk
-    event logging stays affordable.
-    """
-
-    label: str
-
-
-@dataclass(frozen=True, slots=True)
 class SiteCrashed(TelemetryEvent):
     """The fault injector took a site down.
 
@@ -304,9 +288,9 @@ class AllocationDecided(TelemetryEvent):
     placement, or a migration move; the estimates are those of the work
     being placed (the stage, or the reads left).
 
-    Opt-in like :class:`TraceMessage`: the system only constructs these
-    when something subscribed to ``AllocationDecided`` by name (a session
-    with ``TelemetryConfig(decisions=True)``), so event logs without
+    Opt-in: the system only constructs these when something subscribed
+    to ``AllocationDecided`` by name (a session with
+    ``TelemetryConfig(decisions=True)``), so event logs without
     decisions — and the golden event streams pinned from them — never
     see one.
 
@@ -383,7 +367,6 @@ EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = (
     ServiceStarted,
     QueryCompleted,
     LoadBoardUpdated,
-    TraceMessage,
     SiteCrashed,
     SiteRecovered,
     QueryAborted,
@@ -411,7 +394,6 @@ __all__ = [
     "ServiceStarted",
     "QueryCompleted",
     "LoadBoardUpdated",
-    "TraceMessage",
     "SiteCrashed",
     "SiteRecovered",
     "QueryAborted",

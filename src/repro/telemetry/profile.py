@@ -9,7 +9,7 @@ else to event dispatch (the process callbacks themselves):
 Phase      What it measures
 ========== =========================================================
 queue_ops  Future-event-list operations (push/rent/pop_due/recycle/
-           cancel/peek) — the kernel hot path's data structure.
+           cancel/clear) — the kernel hot path's data structure.
 policy     ``AllocationPolicy.select`` calls.
 telemetry  ``EventBus.emit`` dispatch (0 when nothing subscribes:
            guarded emits never reach the bus).
@@ -27,8 +27,8 @@ Implementation notes: every :class:`~repro.sim.process.Process` and
 :class:`~repro.sim.resources.Server` caches the simulator's queue object
 when it is built, so the queue is instrumented *in place*: for the
 profiling window its ``__class__`` is a slot-compatible subclass whose
-operations are timed (legal because ``_drive`` re-hoists its bound
-methods on every ``run()`` call); the policy and bus are instrumented
+operations are timed (legal because ``Simulator.run`` re-hoists its
+bound methods on every call); the policy and bus are instrumented
 with plain instance-attribute wrappers.  ``time.perf_counter`` is
 permitted here — ``repro.telemetry`` is outside the kernel's
 no-wall-clock lint scope (RL002), which is exactly why the profiler
@@ -112,8 +112,6 @@ _QUEUE_OPS = (
     "rent",
     "recycle",
     "cancel",
-    "peek_time",
-    "pop",
     "pop_due",
     "clear",
 )

@@ -15,7 +15,7 @@ the config asks for: every non-opt-in event type with ``events``,
 :data:`~repro.telemetry.tracing.spans.SPAN_EVENT_TYPES` with ``spans``,
 and ``AllocationDecided`` with ``decisions``.  The opt-in
 ``ServiceFinished`` and ``AllocationDecided`` are only emitted when
-spans or decisions name them, and ``TraceMessage`` never is.
+spans or decisions name them.
 
 Two more bus handlers drive the timeline sampler: the session reads the
 measurement horizon from
@@ -48,7 +48,6 @@ from repro.telemetry.events import (
     RunStarted,
     ServiceFinished,
     TelemetryEvent,
-    TraceMessage,
     WarmupEnded,
 )
 from repro.telemetry.sampler import TimelineSample, TimelineSampler
@@ -70,11 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.system import DistributedDatabase
 
 #: The event types ``TelemetryConfig(events=True)`` logs: all but the
-#: opt-in ones, which only spans, decisions or a kernel trace ask for.
+#: opt-in ones, which only spans or decisions ask for.
 LOGGED_EVENT_TYPES: Tuple[Type[TelemetryEvent], ...] = tuple(
     kind
     for kind in EVENT_TYPES
-    if kind not in (TraceMessage, ServiceFinished, AllocationDecided)
+    if kind not in (ServiceFinished, AllocationDecided)
 )
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments.parallel import ReplicationTask, run_tasks
 from repro.faults.plan import (
@@ -41,7 +42,7 @@ from repro.model.serialization import results_to_dict
 from repro.model.system import DistributedDatabase
 from repro.policies.registry import make_policy
 from repro.runner import RunSpec, run
-from repro.telemetry.events import TraceMessage
+from repro.sim.events import Event, EventQueue
 from repro.telemetry.exporters import events_to_jsonl, timeline_to_csv
 from repro.telemetry.session import TelemetryConfig
 
@@ -112,9 +113,9 @@ JOBS_BATCH_SEEDS: Tuple[int, ...] = (11, 12)
 JOBS_WARMUP = 100.0
 JOBS_DURATION = 800.0
 
-#: The kernel-trace case: a short run with an explicit TraceMessage
-#: subscriber, pinning the engine's per-event trace emission (the guard
-#: the hot-path overhaul hoists out of ``step()``).
+#: The kernel-trace case: a short run whose labelled events are recorded
+#: as ``time|label`` lines in firing order (:func:`record_labels`),
+#: pinning the kernel's event order.
 TRACE_POLICY = "LERT"
 TRACE_SEED = 1
 TRACE_WARMUP = 50.0
@@ -149,6 +150,29 @@ def run_case(case: GoldenCase) -> Dict[str, Any]:
     }
 
 
+@contextmanager
+def record_labels(record: Callable[[Event], None]) -> Iterator[None]:
+    """Call *record* with every labelled event the engine fires.
+
+    Wraps :meth:`EventQueue.pop_due` class-wide for the block, so enter
+    it before ``run()``: the engine binds ``pop_due`` when its loop
+    starts.  Unlabelled events are skipped.
+    """
+    original = EventQueue.pop_due
+
+    def recording_pop_due(queue: EventQueue, until: float) -> Optional[Event]:
+        event = original(queue, until)
+        if event is not None and event.label is not None:
+            record(event)
+        return event
+
+    EventQueue.pop_due = recording_pop_due  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        EventQueue.pop_due = original  # type: ignore[method-assign]
+
+
 def run_trace_case() -> Dict[str, Any]:
     """Replay the kernel-trace case; returns the trace-stream digest."""
     system = DistributedDatabase(
@@ -157,13 +181,13 @@ def run_trace_case() -> Dict[str, Any]:
     digest = hashlib.sha256()
     count = 0
 
-    def record(event: Any) -> None:
+    def record(event: Event) -> None:
         nonlocal count
         count += 1
         digest.update(f"{event.time!r}|{event.label}\n".encode("utf-8"))
 
-    system.sim.bus.subscribe(TraceMessage, record)
-    system.run(TRACE_WARMUP, TRACE_DURATION)
+    with record_labels(record):
+        system.run(TRACE_WARMUP, TRACE_DURATION)
     return {"trace_sha256": digest.hexdigest(), "trace_messages": count}
 
 

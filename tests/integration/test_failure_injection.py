@@ -122,7 +122,7 @@ class TestKernelFaults:
                 caught.append(str(exc))
 
         process = sim.launch(sleeper())
-        sim.run(max_events=1)
+        sim.run(until=0.0)
         process.interrupt(RuntimeError("one"))
         process.interrupt(RuntimeError("two"))
         sim.run()

@@ -480,6 +480,13 @@ def test_rl012_clean(tmp_path, relative, source):
             "        pass\n"
             "    bus.emit(ev)\n",
         ),
+        # Names of bus attributes that no longer exist guard nothing.
+        (
+            "repro/model/stale.py",
+            "def f(bus, ev, T):\n"
+            "    if bus.trace_wanted or bus.wants_type(T):\n"
+            "        bus.emit(ev)\n",
+        ),
     ],
 )
 def test_rl019_fires(tmp_path, relative, source):
@@ -497,7 +504,8 @@ def test_rl019_fires(tmp_path, relative, source):
             "    if bus.active and bus.wants(T):\n"
             "        bus.emit(ev)\n",
         ),
-        # Opt-in events guard with wants_type.
+        # Any test that mentions ``active`` guards, whatever else it
+        # calls.
         (
             "repro/model/optin.py",
             "def f(bus, ev, T):\n"
@@ -513,12 +521,12 @@ def test_rl019_fires(tmp_path, relative, source):
             "        return\n"
             "    bus.emit(ev)\n",
         ),
-        # The engine's tracing loop: an alias emit in the else-branch of
-        # a trace_wanted test, nested in a loop.
+        # An alias emit in the else-branch of an ``active`` test, nested
+        # in a loop.
         (
             "repro/sim/engine3.py",
             "def drive(bus, ev):\n"
-            "    if not bus.trace_wanted:\n"
+            "    if not bus.active:\n"
             "        pass\n"
             "    else:\n"
             "        emit = bus.emit\n"

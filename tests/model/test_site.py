@@ -14,7 +14,7 @@ from repro.model.workload import WorkloadGenerator
 from repro.sim.engine import Simulator
 from repro.sim.errors import ProcessError
 from repro.sim.process import Process
-from repro.telemetry.events import TraceMessage
+from tests.golden.corpus import record_labels
 
 
 class TestStructure:
@@ -109,10 +109,10 @@ class TestService:
         reads = 5
         query = make_query(config, reads)
         labels = []
-        sim.bus.subscribe(TraceMessage, lambda message: labels.append(message.label))
         rng = random.Random(4)
         process, _ = launch_visit(sim, site, query, rng, reads)
-        sim.run()
+        with record_labels(lambda event: labels.append(event.label)):
+            sim.run()
         # Two completions per page plus the activation; no resume per
         # burst or per visit.
         assert sim.events_fired == 2 * reads + 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.sanitize import (
@@ -70,8 +72,8 @@ def test_event_pops_are_recorded():
         queue = EventQueue()
         queue.push(Event(2.0, _noop, label="second"))
         queue.push(Event(1.0, _noop, label="first"))
-        queue.pop()
-        queue.pop()
+        queue.pop_due(math.inf)
+        queue.pop_due(math.inf)
     assert len(trace.records) == 2
     assert "label=first" in trace.records[0]
     assert "label=second" in trace.records[1]
@@ -89,14 +91,14 @@ def test_pop_due_past_horizon_records_nothing():
 def test_patches_are_restored_after_exit():
     original_stream = RandomStreams.stream
     original_once = RandomStreams.once
-    original_pop = EventQueue.pop
+    original_pop_due = EventQueue.pop_due
     with capture_trace():
         assert RandomStreams.stream is not original_stream
         assert RandomStreams.once is not original_once
-        assert EventQueue.pop is not original_pop
+        assert EventQueue.pop_due is not original_pop_due
     assert RandomStreams.stream is original_stream
     assert RandomStreams.once is original_once
-    assert EventQueue.pop is original_pop
+    assert EventQueue.pop_due is original_pop_due
     # And draws outside the context are plain random.Random draws.
     rng = RandomStreams(master_seed=7).stream("s")
     assert type(rng).__module__ == "random"

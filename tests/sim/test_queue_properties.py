@@ -7,8 +7,7 @@ contract:
 
 * total order by ``(time, priority, insertion order)``;
 * ``cancel`` after fire (or double-cancel) is a no-op;
-* ``peek_time`` always names the time of the next live pop, ``None``
-  exactly when no live events remain;
+* ``pop_due`` returns ``None`` exactly when no live event is due;
 * FIFO among simultaneous equal-priority events;
 * rents due at the current instant wait in the same-instant lane, and
   the merged lane + heap order is exactly the single-heap order.
@@ -17,13 +16,14 @@ Times are drawn from a small grid *and* a continuous range so that ties
 (the interesting case for the heap's comparison path) occur constantly.
 """
 
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.sim.errors import SchedulingError  # noqa: E402
 from repro.sim.events import Event, EventQueue  # noqa: E402
 
 QUEUE_FACTORIES = [pytest.param(EventQueue, id="heap")]
@@ -72,6 +72,13 @@ class ReferenceQueue:
         return entry[3]
 
 
+def _pop(queue):
+    """The next live event, which must exist."""
+    event = queue.pop_due(math.inf)
+    assert event is not None
+    return event
+
+
 @pytest.mark.parametrize("factory", QUEUE_FACTORIES)
 @given(items=st.lists(st.tuples(times, priorities), max_size=40))
 @settings(max_examples=60, deadline=None)
@@ -85,9 +92,8 @@ def test_drain_order_matches_reference(factory, items):
         events.append(event)
         model.push(time, priority, tag)
     while queue:
-        assert queue.peek_time() == model.peek_time()
-        assert int(queue.pop().label) == model.pop()
-    assert queue.peek_time() is None
+        assert int(_pop(queue).label) == model.pop()
+    assert queue.pop_due(math.inf) is None
     assert len(model) == 0
 
 
@@ -114,11 +120,9 @@ def test_interleaved_cancel_matches_reference(factory, items, data):
         model.cancel(tag)
     assert len(queue) == len(model)
     while queue:
-        assert queue.peek_time() == model.peek_time()
-        assert int(queue.pop().label) == model.pop()
+        assert int(_pop(queue).label) == model.pop()
     assert len(model) == 0
-    with pytest.raises(SchedulingError):
-        queue.pop()
+    assert queue.pop_due(math.inf) is None
 
 
 @pytest.mark.parametrize("factory", QUEUE_FACTORIES)
@@ -129,22 +133,19 @@ def test_cancel_after_fire_is_noop(factory, items):
     for tag, (time, priority) in enumerate(items):
         queue.push(Event(time, lambda: None, priority=priority, label=str(tag)))
     size_before = len(queue)
-    fired = queue.pop()
+    fired = _pop(queue)
     assert fired.fired
     queue.cancel(fired)  # documented no-op
     assert not fired.cancelled
     assert len(queue) == size_before - 1
     # Double-cancel of a live event is also a no-op for the live count.
     if queue:
-        victim_time = queue.peek_time()
-        victim = queue.pop()
+        victim = _pop(queue)
         requeued = Event(victim.time, lambda: None, priority=victim.priority)
         queue.push(requeued)
-        assert queue.peek_time() is not None
         queue.cancel(requeued)
         queue.cancel(requeued)
         assert len(queue) == size_before - 2
-        assert victim.time == victim_time
 
 
 @pytest.mark.parametrize("factory", QUEUE_FACTORIES)
@@ -154,7 +155,7 @@ def test_fifo_among_simultaneous(factory, count, time):
     queue = factory()
     for tag in range(count):
         queue.push(Event(time, lambda: None, label=str(tag)))
-    drained = [int(queue.pop().label) for _ in range(count)]
+    drained = [int(_pop(queue).label) for _ in range(count)]
     assert drained == list(range(count))
 
 
@@ -170,7 +171,7 @@ def test_rent_orders_like_push_and_reuses_objects(factory, items):
     seen = []
     drained = []
     while queue:
-        event = queue.pop()
+        event = _pop(queue)
         drained.append(int(event.label))
         seen.append(event)
         queue.recycle(event)
@@ -178,14 +179,6 @@ def test_rent_orders_like_push_and_reuses_objects(factory, items):
     # The free-list hands back the recycled objects rather than allocating.
     reused = queue.rent(0.0, lambda: None, "reused")
     assert reused in seen
-
-
-@pytest.mark.parametrize("factory", QUEUE_FACTORIES)
-def test_pop_empty_raises(factory):
-    queue = factory()
-    assert queue.peek_time() is None
-    with pytest.raises(SchedulingError):
-        queue.pop()
 
 
 @pytest.mark.parametrize("factory", QUEUE_FACTORIES)
@@ -208,7 +201,10 @@ def test_pop_due_respects_horizon(factory, items, horizon):
         assert int(due.label) == model.pop()
     remaining = model.peek_time()
     assert remaining is None or remaining > horizon
-    assert queue.peek_time() == remaining
+    if remaining is None:
+        assert queue.pop_due(math.inf) is None
+    else:
+        assert int(_pop(queue).label) == model.pop()
 
 
 #: Offsets from "now" for future rents (never 0: those are lane rents).
@@ -286,19 +282,14 @@ def test_same_instant_lane_matches_reference(ops):
                 queue.cancel(pending.pop(victim))
                 model.cancel(victim)
         elif model:
-            expected = model.peek_time()
-            assert queue.peek_time() == expected
-            now = expected
+            now = model.peek_time()
             event = queue.pop_due(now)
             check_pop(event, model.pop())
         else:
             assert queue.pop_due(now + 100.0) is None
         assert len(queue) == len(model)
-        assert queue.peek_time() == model.peek_time()
     while model:
         now = model.peek_time()
-        check_pop(queue.pop(), model.pop())
+        check_pop(queue.pop_due(now), model.pop())
     assert not queue
-    assert queue.peek_time() is None
-    with pytest.raises(SchedulingError):
-        queue.pop()
+    assert queue.pop_due(math.inf) is None

@@ -10,7 +10,6 @@ from repro.sim.stats import (
     IntervalEstimate,
     batch_means,
     mean_and_ci,
-    relative_change,
     student_t_quantile,
 )
 from repro.sim.t_quantiles import T_QUANTILES
@@ -166,14 +165,3 @@ class TestExactAccumulation:
             # Bit-identical, not approximately equal.
             assert estimate.mean == baseline.mean
             assert estimate.half_width == baseline.half_width
-
-
-class TestRelativeChange:
-    def test_improvement_positive(self):
-        assert relative_change(new=8.0, base=10.0) == pytest.approx(0.2)
-
-    def test_regression_negative(self):
-        assert relative_change(new=12.0, base=10.0) == pytest.approx(-0.2)
-
-    def test_zero_base(self):
-        assert relative_change(new=5.0, base=0.0) == 0.0

@@ -25,7 +25,6 @@ from repro.telemetry.events import (
     ServiceStarted,
     SiteCrashed,
     SiteRecovered,
-    TraceMessage,
     WarmupEnded,
 )
 
@@ -56,7 +55,6 @@ SAMPLES = (
         migrations=0,
     ),
     LoadBoardUpdated(time=1.5, site=0, io_queries=2, cpu_queries=1, change=1),
-    TraceMessage(time=0.5, label="terminal.0.0"),
     SiteCrashed(time=120.0, site=1),
     SiteRecovered(time=160.0, site=1),
     QueryAborted(time=120.0, qid=3, site=1, attempt=1),

@@ -63,10 +63,7 @@ class TestPhaseAttribution:
         # built; the profiler must still see every operation they make.
         system = build(tiny_config)
         counts: Counter = Counter()
-        for name in (
-            "push", "rent", "recycle", "cancel", "peek_time", "pop",
-            "pop_due", "clear",
-        ):
+        for name in ("push", "rent", "recycle", "cancel", "pop_due", "clear"):
             def counted(queue, *args, _original=getattr(EventQueue, name),
                         _name=name):
                 counts[_name] += 1

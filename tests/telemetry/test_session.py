@@ -12,7 +12,6 @@ from repro.telemetry.events import (
     RunEnded,
     RunStarted,
     ServiceFinished,
-    TraceMessage,
     WarmupEnded,
 )
 from repro.telemetry.session import (
@@ -203,14 +202,13 @@ class TestSubscriptions:
             TelemetryConfig(events=events, spans=spans, decisions=decisions),
         )
         bus = system.sim.bus
-        assert not bus.wants(TraceMessage)
         assert bus.wants(ServiceFinished) == spans
         assert bus.wants(AllocationDecided) == decisions
         if events:
             assert all(bus.wants(kind) for kind in LOGGED_EVENT_TYPES)
 
     def test_logged_types_are_all_but_the_opt_in_ones(self):
-        opt_in = {TraceMessage, ServiceFinished, AllocationDecided}
+        opt_in = {ServiceFinished, AllocationDecided}
         assert set(LOGGED_EVENT_TYPES) == set(EVENT_TYPES) - opt_in
 
     def test_events_off_keeps_log_empty_with_spans_on(self, tiny_config):
@@ -232,7 +230,6 @@ class TestSubscriptions:
             logged = sum(1 for e in session.events if type(e) is kind)
             assert logged > 0
             assert summary[f"events.{kind.__name__}"] == logged
-        assert "events.TraceMessage" not in summary
 
     def test_spans_and_decisions_are_assembled_once(self, tiny_config, monkeypatch):
         calls = []
